@@ -53,6 +53,11 @@ class AccessResult:
 #: instance serves every hit (saves an allocation on the hottest path).
 HIT = AccessResult(hit=True)
 
+#: The per-set containers of every set not yet filled, in every cache.
+#: Read-only: :meth:`SetAssociativeCache.access` swaps in a set's own
+#: containers before its first insertion.
+_UNFILLED: Dict = {}
+
 
 @dataclass(slots=True)
 class CacheStats:
@@ -159,21 +164,25 @@ class SetAssociativeCache:
         self._last_obj: Optional[CacheLine] = None
         self._policy_name = policy
         self._seed = seed
-        # Per set: way -> CacheLine (ways not present are invalid).
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.n_sets)]
-        # Per set: line address -> way, the O(1) lookup the access fast
-        # path uses instead of scanning the ways.  Kept in lockstep with
-        # ``_sets`` by every mutating method.
-        self._tags: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
+        # Per set: way -> CacheLine (ways not present are invalid), and
+        # line address -> way, the O(1) lookup the access fast path uses
+        # instead of scanning the ways (kept in lockstep with ``_sets``
+        # by every mutating method).  A set's containers are created on
+        # its first fill (in :meth:`access`); until then its slots share
+        # :data:`_UNFILLED`, which every lookup reads as a miss, so the
+        # hit path needs no check and an L2 bank whose sets are never
+        # touched costs three lists.
+        self._sets: List[Dict[int, CacheLine]] = [_UNFILLED] * self.n_sets
+        self._tags: List[Dict[int, int]] = [_UNFILLED] * self.n_sets
         # For the default (Table I) LRU policy the cache manipulates
         # bare recency stacks directly (no policy objects on the hot
         # path); `_policies` materializes LRUPolicy views sharing the
         # same lists on first external use.  Other policies keep the
-        # policy-object protocol.
+        # policy-object protocol.  An unfilled set has no stack yet.
         if policy.lower() == "lru":
-            self._lru_stacks: Optional[List[List[int]]] = [
-                list(range(associativity)) for _ in range(self.n_sets)
-            ]
+            self._lru_stacks: Optional[List[Optional[List[int]]]] = (
+                [None] * self.n_sets
+            )
             self._policies_list: Optional[List[ReplacementPolicy]] = None
         else:
             self._lru_stacks = None
@@ -188,12 +197,19 @@ class SetAssociativeCache:
         """Per-set policy objects (lazy LRU views over the stacks)."""
         if self._policies_list is None:
             policies = []
-            for stack in self._lru_stacks:
+            for index in range(self.n_sets):
                 p = LRUPolicy(self.associativity)
-                p._stack = stack  # share state with the hot path
+                p._stack = self._lru_stack(index)  # shared with the hot path
                 policies.append(p)
             self._policies_list = policies
         return self._policies_list
+
+    def _lru_stack(self, index: int) -> List[int]:
+        """Set ``index``'s LRU recency stack, created on first use."""
+        stack = self._lru_stacks[index]
+        if stack is None:
+            stack = self._lru_stacks[index] = list(range(self.associativity))
+        return stack
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -266,6 +282,11 @@ class SetAssociativeCache:
 
         # Miss: choose a way (an invalid one if available).
         cache_set = self._sets[index]
+        if cache_set is _UNFILLED:  # first fill: the set's own containers
+            cache_set = self._sets[index] = {}
+            tags = self._tags[index] = {}
+            if stacks is not None:
+                self._lru_stack(index)
         writeback = evicted = None
         if len(cache_set) < self.associativity:
             way = next(

@@ -22,7 +22,7 @@ Memory-reference flow (Section II):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.mem.dram import DRAMModel, DRAMTimings, DDR3_OFFCHIP, MissBus
@@ -33,6 +33,7 @@ from repro.mot.reconfigurator import plan_reconfiguration
 from repro.noc.base import Interconnect
 from repro.noc.mot_adapter import MoTInterconnect
 from repro.sim.engine import SimulationEngine
+from repro.sim.l1pass import MissStream, miss_stream
 from repro.sim.stats import SimReport
 from repro.sim.trace import CoreTrace, MemRef
 
@@ -86,17 +87,10 @@ class Cluster3D:
             n_cores=power_state.total_cores,
             transfer_cycles=miss_bus_transfer_cycles,
         )
-        #: Split-protocol invariant the fast scheduler relies on: every
-        #: L1 is built from the same config, so hits have one latency.
+        #: Every L1 is built from this one config, so a miss stream
+        #: built from it fits any core of this cluster.
+        self.l1_config = l1_config
         self.l1_hit_latency_cycles = l1_config.hit_latency_cycles
-        # Bound (icache, dcache) access functions per core: the fast
-        # scheduler calls these once per reference, skipping the
-        # L1Cache wrapper (trace validation already rejects writes to
-        # instruction references, the only thing the wrapper checks).
-        self._l1_access_pairs = {
-            core: (self.l1i[core].cache.access, self.l1d[core].cache.access)
-            for core in self.l1i
-        }
         # Prebound miss-path callables (one lookup at init, not per miss).
         self._l2_demand_read = self.l2.demand_read
         self._l2_absorb_writeback = self.l2.absorb_writeback
@@ -164,28 +158,21 @@ class Cluster3D:
     def memory_access(self, core: int, ref: MemRef, now: int) -> int:
         """Charge one reference; returns its total latency in cycles.
 
-        The legacy single-callback form:
-        :meth:`l1_access` + :meth:`finish_miss` composed at one time.
+        The legacy single-callback form: the L1 lookup and
+        :meth:`finish_miss` composed at one time.
         """
         l1 = self.l1i[core] if ref.is_instruction else self.l1d[core]
         result = l1.access(ref.address, ref.is_write)
         if result.hit:
             return l1.hit_latency_cycles
-        return self.finish_miss(core, ref.address, result, now)
+        return self.finish_miss(core, ref.address, result.writeback, now)
 
-    def l1_access_functions(self, core: int):
-        """Bound ``(icache.access, dcache.access)`` pair for ``core``
-        (fast-path protocol; one call per reference).
-
-        These touch only the core's own L1 — legal to execute ahead of
-        global time.  A hit completes the reference
-        (``l1_hit_latency_cycles``); a miss must be finished with
-        :meth:`finish_miss` at its global issue time.
-        """
-        return self._l1_access_pairs[core]
-
-    def finish_miss(self, core: int, address: int, result, now: int) -> int:
-        """Shared half of a missing reference, charged at ``now``.
+    def finish_miss(
+        self, core: int, address: int, victim: Optional[int], now: int
+    ) -> int:
+        """Shared half of a reference that missed its L1, charged at
+        ``now``; ``victim`` is the dirty line the L1 fill evicted, or
+        ``None``.
 
         One flattened pass over the victim write-back and the blocking
         L2 demand (the bodies of :meth:`_l1_victim_writeback` and
@@ -195,7 +182,6 @@ class Cluster3D:
         """
         ic_access = self._ic_access
         dram_access = self._dram_access
-        victim = result.writeback
         if victim is not None:
             # Dirty L1 victim drains to L2 through a write buffer: bank
             # occupancy and energy are charged, the core is not stalled.
@@ -254,18 +240,21 @@ class Cluster3D:
     # ------------------------------------------------------------------
     def run(
         self,
-        traces: Dict[int, CoreTrace],
+        traces: Dict[int, Union[CoreTrace, MissStream]],
         workload_name: str = "workload",
         max_cycles: int = 2_000_000_000,
         engine_mode: str = "auto",
     ) -> SimReport:
         """Simulate ``traces`` (one per active core) to completion.
 
-        ``traces`` may hold per-reference steps or array-backed blocks.
+        ``traces`` may hold per-reference steps, array-backed blocks or
+        :class:`~repro.sim.l1pass.MissStream` objects built from this
+        cluster's L1 config (a sweep shares one stream across cells).
         ``engine_mode`` selects the scheduler: ``"auto"`` (the fast
-        run-ahead path), or ``"legacy"`` for the one-heap-event-per-
-        action loop — both produce identical reports (the differential
-        suite enforces it).
+        miss-stream walk; a raw trace first passes through this
+        cluster's own L1s), or ``"legacy"`` for the one-heap-event-per-
+        action loop over raw traces — both produce identical reports
+        (the differential suite enforces it).
         """
         expected = set(self.power_state.active_cores)
         if set(traces) != expected:
@@ -273,24 +262,57 @@ class Cluster3D:
                 f"traces cover cores {sorted(traces)} but the power state "
                 f"activates {sorted(expected)}"
             )
-        engine = SimulationEngine(
-            traces,
-            self.memory_access,
-            max_cycles,
-            memory_system=self,
-            mode=engine_mode,
+        if engine_mode == "legacy":
+            if any(isinstance(t, MissStream) for t in traces.values()):
+                raise ConfigurationError(
+                    "the legacy scheduler replays raw traces, not miss streams"
+                )
+            engine = SimulationEngine(
+                traces, self.memory_access, max_cycles, mode="legacy"
+            )
+            execution_cycles = engine.run()
+            l1_accesses = l1_misses = 0
+            for caches in (self.l1i, self.l1d):
+                for l1 in caches.values():
+                    l1_accesses += l1.stats.accesses
+                    l1_misses += l1.stats.misses
+        else:
+            streams = {}
+            for core, trace in traces.items():
+                if not isinstance(trace, MissStream):
+                    trace = miss_stream(
+                        trace, self.l1i[core].cache, self.l1d[core].cache,
+                        self.l1_config, max_cycles,
+                    )
+                elif trace.l1_config != self.l1_config:
+                    raise ConfigurationError(
+                        f"core {core}'s miss stream was built for "
+                        f"{trace.l1_config}, not this cluster's "
+                        f"{self.l1_config}"
+                    )
+                streams[core] = trace
+            engine = SimulationEngine(
+                streams,
+                self.memory_access,
+                max_cycles,
+                memory_system=self,
+                mode=engine_mode,
+            )
+            execution_cycles = engine.run()
+            l1_accesses = sum(s.references for s in streams.values())
+            l1_misses = sum(s.misses for s in streams.values())
+        return self._report(
+            workload_name, execution_cycles, engine, l1_accesses, l1_misses
         )
-        execution_cycles = engine.run()
-        return self._report(workload_name, execution_cycles, engine)
 
     def _report(
-        self, workload_name: str, execution_cycles: int, engine: SimulationEngine
+        self,
+        workload_name: str,
+        execution_cycles: int,
+        engine: SimulationEngine,
+        l1_accesses: int,
+        l1_misses: int,
     ) -> SimReport:
-        l1_acc = l1_miss = 0
-        for caches in (self.l1i, self.l1d):
-            for l1 in caches.values():
-                l1_acc += l1.stats.accesses
-                l1_miss += l1.stats.misses
         l2_stats = self.l2.total_stats()
         ic = self.interconnect.stats
         return SimReport(
@@ -302,8 +324,8 @@ class Cluster3D:
             dram_name=self.dram_timings.name,
             execution_cycles=execution_cycles,
             cores=[engine.core_stats[c] for c in sorted(engine.core_stats)],
-            l1_accesses=l1_acc,
-            l1_misses=l1_miss,
+            l1_accesses=l1_accesses,
+            l1_misses=l1_misses,
             l2_accesses=l2_stats.accesses,
             l2_hits=l2_stats.hits,
             l2_misses=l2_stats.misses,

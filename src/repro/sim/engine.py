@@ -19,41 +19,33 @@ Two schedulers share the barrier machinery:
 
 * **legacy** — the original loop: every micro action (compute, memory
   reference, barrier) is one heap event.  Needed only when the memory
-  system is an opaque callback.
-* **fast** — run-ahead batching.  L1 hits touch nothing shared (the
-  L1s are private), so a core's consecutive hits are retired in a tight
-  local loop with no heap traffic; the core re-enters the global heap
-  only at *shared* events: L1 misses, barrier arrivals, and trace
-  exhaustion.  Those events are pushed at their simulated time and
-  processed at pop, so every shared-state transition (interconnect /
-  bank / DRAM reservation, barrier arrival, core retirement) happens in
-  exactly the (time, core) order the legacy scheduler would use —
-  cycle-exact equivalence is the correctness contract, enforced by
-  ``tests/sim/test_differential.py``.
+  system is an opaque callback; kept as the differential oracle.
+* **fast** — a walk over per-core *miss streams*
+  (:mod:`repro.sim.l1pass`).  L1 hits touch nothing shared (the L1s
+  are private), so the private-L1 pass has already retired them; the
+  walk sees only the *shared* events — L1 misses, barrier arrivals and
+  trace exhaustion — each entering the heap at its simulated time
+  (the core's resume time plus the stream's private cycles before it)
+  and processed at pop.  Every shared-state transition (interconnect
+  / bank / DRAM reservation, barrier arrival, core retirement) thus
+  happens in exactly the (time, core) order the legacy scheduler would
+  use — cycle-exact equivalence is the correctness contract, enforced
+  by ``tests/sim/test_differential.py``.
 
-The fast path needs the memory system split into a private probe and a
-shared completion (see :class:`FastMemorySystem`);
-:class:`~repro.sim.cluster.Cluster3D` implements it.
+The fast path needs the shared half of a miss as its own call (see
+:class:`FastMemorySystem`); :class:`~repro.sim.cluster.Cluster3D`
+implements it and builds the streams.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.mem.cache import HIT
+from repro.sim.l1pass import MissStream
 from repro.sim.stats import CoreStats
-from repro.sim.trace import CoreTrace, MemRef, TraceBlock, TraceStep
+from repro.sim.trace import CoreTrace, MemRef, TraceBlock
 
 #: Memory callback: (core_id, ref, now_cycle) -> total latency in cycles.
 MemoryAccessFn = Callable[[int, MemRef, int], int]
@@ -62,102 +54,20 @@ MemoryAccessFn = Callable[[int, MemRef, int], int]
 class FastMemorySystem:
     """Protocol the fast scheduler requires of a memory system.
 
-    Splits one reference into the part that is private to the core and
-    the part that claims shared resources:
-
-    ``l1_access_functions(core)``
-        Return the core's bound ``(icache_access, dcache_access)``
-        callables; each maps ``(address, is_write)`` to an
-        :class:`~repro.mem.cache.AccessResult`.  Private to the core
-        (no simulated-time argument: nothing shared is touched), so
-        the scheduler may execute them ahead of global time.
-
-    ``finish_miss(core, address, result, now_cycle)``
-        Charge the shared remainder of a missing reference (L1 victim
-        write-back, interconnect, L2, Miss bus, DRAM) at global time
+    ``finish_miss(core, address, victim, now_cycle)``
+        Charge the shared remainder of a reference that missed its L1
+        (the dirty L1 ``victim``'s write-back when it is not ``None``,
+        interconnect, L2, Miss bus, DRAM) at global time
         ``now_cycle``; returns the reference's *total* latency.
 
-    ``l1_hit_latency_cycles``
-        Latency of a pure L1 hit (uniform across cores and I/D — the
-        cluster builds every L1 from one config).
-
-    ``l1_hit_result``
-        The singleton object the access functions return for every hit
-        (:data:`repro.mem.cache.HIT` by default) — lets the scheduler
-        detect hits by identity; results that are not the singleton are
-        still classified via their ``.hit`` attribute.
+    The private half — the L1 lookups — is already folded into the
+    :class:`~repro.sim.l1pass.MissStream` the scheduler walks.
     """
 
-    l1_hit_latency_cycles: int = 1
-    l1_hit_result: object = HIT
-
-    def l1_access_functions(self, core: int):
+    def finish_miss(
+        self, core: int, address: int, victim: Optional[int], now_cycle: int
+    ) -> int:
         raise NotImplementedError
-
-    def finish_miss(self, core: int, address: int, result, now_cycle: int) -> int:
-        raise NotImplementedError
-
-
-class _CoreRun:
-    """Per-core cursor over its trace, normalized to segments.
-
-    A segment is ``(gap, addrs, writes, instrs, barrier)``: ``gap``
-    busy cycles before *each* of the references, then the barrier (if
-    any).  A compute-only step becomes a segment with no references.
-
-    ``event_kind``/``event_a``/``event_b`` carry the core's deferred
-    shared event between its heap push and the pop that processes it
-    (0 = none, 1 = miss, 2 = barrier, 3 = finished) — per-core slots
-    instead of per-event tuples.
-    """
-
-    __slots__ = (
-        "segments",
-        "gap",
-        "addrs",
-        "writes",
-        "instrs",
-        "idx",
-        "barrier",
-        "event_kind",
-        "event_a",
-        "event_b",
-    )
-
-    def __init__(self, trace: CoreTrace) -> None:
-        self.segments = self._segment_iter(trace)
-        self.gap = 0
-        self.addrs: Sequence[int] = ()
-        self.writes: Sequence[bool] = ()
-        self.instrs: Sequence[bool] = ()
-        self.idx = 0
-        self.barrier: Optional[int] = None
-        self.event_kind = 0
-        self.event_a: object = None
-        self.event_b: object = None
-
-    @staticmethod
-    def _segment_iter(trace: CoreTrace):
-        for item in trace:
-            if isinstance(item, TraceBlock):
-                yield (
-                    item.compute_gap,
-                    item.addresses.tolist(),
-                    item.is_write.tolist(),
-                    item.is_instruction.tolist(),
-                    item.barrier,
-                )
-            elif item.ref is None:
-                yield (item.compute_cycles, (), (), (), item.barrier)
-            else:
-                ref = item.ref
-                yield (
-                    item.compute_cycles,
-                    (ref.address,),
-                    (ref.is_write,),
-                    (ref.is_instruction,),
-                    item.barrier,
-                )
 
 
 class SimulationEngine:
@@ -166,8 +76,9 @@ class SimulationEngine:
     Parameters
     ----------
     traces:
-        ``{core_id: iterator of TraceStep/TraceBlock}`` — one entry per
-        *active* core.
+        One entry per *active* core: ``{core_id: iterator of
+        TraceStep/TraceBlock}`` for the legacy scheduler,
+        ``{core_id: MissStream}`` for the fast one.
     memory_access:
         Callback charging one memory reference; returns its latency.
     max_cycles:
@@ -184,7 +95,7 @@ class SimulationEngine:
 
     def __init__(
         self,
-        traces: Dict[int, CoreTrace],
+        traces: Dict[int, Union[CoreTrace, MissStream]],
         memory_access: MemoryAccessFn,
         max_cycles: int = 2_000_000_000,
         memory_system: Optional[FastMemorySystem] = None,
@@ -198,6 +109,10 @@ class SimulationEngine:
             mode = "fast" if memory_system is not None else "legacy"
         if mode == "fast" and memory_system is None:
             raise SimulationError("fast mode needs a split memory system")
+        if mode == "fast" and not all(
+            isinstance(trace, MissStream) for trace in traces.values()
+        ):
+            raise SimulationError("fast mode walks miss streams, not traces")
         self.traces = traces
         self.memory_access = memory_access
         self.memory_system = memory_system
@@ -287,181 +202,76 @@ class SimulationEngine:
         return finish_time
 
     # ------------------------------------------------------------------
-    # Fast scheduler: run-ahead batching of private L1 hits
+    # Fast scheduler: a walk over the cores' miss streams
     # ------------------------------------------------------------------
     def _run_fast(self) -> int:
-        memory = self.memory_system
-        hit_latency = memory.l1_hit_latency_cycles
-        if hit_latency < 1:
-            raise SimulationError(
-                f"memory access returned latency {hit_latency} < 1"
-            )
-        finish_miss = memory.finish_miss
-        hit_result = getattr(memory, "l1_hit_result", HIT)
-        hit_stall = hit_latency - 1
+        finish_miss = self.memory_system.finish_miss
         max_cycles = self.max_cycles
+        streams: Dict[int, MissStream] = self.traces
+        core_stats = self.core_stats
         heappush = heapq.heappush
         heappop = heapq.heappop
-        runs = {core: _CoreRun(trace) for core, trace in self.traces.items()}
-        # Indexed by the reference's is_instruction flag: [0] = data
-        # cache, [1] = instruction cache.
-        l1_fns = {}
-        for core in self.traces:
-            icache_access, dcache_access = memory.l1_access_functions(core)
-            l1_fns[core] = (dcache_access, icache_access)
-        core_stats = self.core_stats
-        heap: List[Tuple[int, int]] = [(0, core) for core in sorted(runs)]
+        heappushpop = heapq.heappushpop
+        cursor = dict.fromkeys(streams, 0)  # each core's next event
+        miss_stall = dict.fromkeys(streams, 0)
+        # A core enters the heap at its next shared event: the time it
+        # resumed plus the private cycles the stream puts before it.
+        heap: List[Tuple[int, int]] = [
+            (stream.gaps[0], core) for core, stream in streams.items()
+        ]
         heapq.heapify(heap)
         finish_time = 0
-
-        while heap:
-            now, core = heappop(heap)
+        now, core = heappop(heap)
+        while True:
             if now > max_cycles:
                 raise SimulationError(
                     f"core {core} passed {max_cycles} cycles; "
                     f"runaway trace or deadlocked barrier"
                 )
-            stats = core_stats[core]
-            run = runs[core]
-            kind = run.event_kind
-            if kind:
-                run.event_kind = 0
-                if kind == 1:  # miss
-                    latency = finish_miss(core, run.event_a, run.event_b, now)
-                    if latency < 1:
+            stream = streams[core]
+            event = cursor[core]
+            cursor[core] = event + 1
+            address = stream.addresses[event]
+            if address is not None:  # L1 miss, charged at its issue time
+                latency = finish_miss(core, address, stream.victims[event], now)
+                if latency < 1:
+                    raise SimulationError(
+                        f"memory access returned latency {latency} < 1"
+                    )
+                miss_stall[core] += latency - 1
+                # One C call for push-then-pop: the same core comes
+                # straight back when its next event is still earliest.
+                now, core = heappushpop(
+                    heap, (now + latency + stream.gaps[event + 1], core)
+                )
+                continue
+            barrier = stream.barriers.get(event)
+            if barrier is None:  # end of the trace
+                stats = core_stats[core]
+                stats.busy_cycles += stream.busy_cycles
+                stats.stall_cycles += stream.stall_cycles + miss_stall[core]
+                stats.memory_references += stream.references
+                stats.finish_cycle = now
+                self._finished.add(core)
+                if now > finish_time:
+                    finish_time = now
+            else:
+                released = self._arrive_at_barrier(barrier, core, now)
+                for release_core, release_time, waited in released or ():
+                    core_stats[release_core].barrier_cycles += waited
+                    if release_time > max_cycles:
                         raise SimulationError(
-                            f"memory access returned latency {latency} < 1"
+                            f"barrier released at {release_time}, past "
+                            f"the {max_cycles}-cycle safety valve"
                         )
-                    stats.memory_references += 1
-                    stats.busy_cycles += 1
-                    stats.stall_cycles += latency - 1
-                    now += latency
-                elif kind == 2:  # barrier arrival
-                    released = self._arrive_at_barrier(run.event_a, core, now)
-                    if released is None:
-                        continue  # parked; the releaser re-queues us
-                    for release_core, release_time, waited in released:
-                        core_stats[release_core].barrier_cycles += waited
-                        if release_time > max_cycles:
-                            raise SimulationError(
-                                f"barrier released at {release_time}, past "
-                                f"the {max_cycles}-cycle safety valve"
-                            )
-                        heappush(heap, (release_time, release_core))
-                    continue
-                else:  # finished
-                    stats.finish_cycle = now
-                    self._finished.add(core)
-                    if now > finish_time:
-                        finish_time = now
-                    continue
-
-            # ----------------------------------------------------------
-            # Run-ahead: retire private work (L1 hits, compute gaps)
-            # in a local loop until the next *shared* event — an L1
-            # miss (charged at pop so reservations stay in global time
-            # order), a barrier arrival, or the end of the trace.
-            # ----------------------------------------------------------
-            fns = l1_fns[core]
-            busy = 0
-            stall = 0
-            refs = 0
-            event_time = now
-            while run.event_kind == 0:
-                idx = run.idx
-                addrs = run.addrs
-                n = len(addrs)
-                if idx < n:
-                    gap = run.gap
-                    writes = run.writes
-                    instrs = run.instrs
-                    step = gap + hit_latency
-                    busy_inc = gap + 1
-                    if now + (n - idx) * step <= max_cycles:
-                        # Common case: even all-hits run-ahead cannot
-                        # cross the safety valve — no per-reference
-                        # check needed.  (An instruction reference is
-                        # never a write — trace validation — so the
-                        # write flag passes through either function.)
-                        while idx < n:
-                            result = fns[instrs[idx]](addrs[idx], writes[idx])
-                            idx += 1
-                            if result is not hit_result and not result.hit:
-                                busy += gap
-                                run.idx = idx
-                                run.event_kind = 1
-                                run.event_a = addrs[idx - 1]
-                                run.event_b = result
-                                event_time = now + gap
-                                break
-                            refs += 1
-                            busy += busy_inc
-                            stall += hit_stall
-                            now += step
-                        else:
-                            run.idx = idx
-                    else:
-                        while idx < n:
-                            t = now + gap
-                            if t > max_cycles:
-                                stats.busy_cycles += busy
-                                stats.stall_cycles += stall
-                                stats.memory_references += refs
-                                raise SimulationError(
-                                    f"core {core} passed {max_cycles} "
-                                    f"cycles; runaway trace or deadlocked "
-                                    f"barrier"
-                                )
-                            result = fns[instrs[idx]](addrs[idx], writes[idx])
-                            idx += 1
-                            if result is not hit_result and not result.hit:
-                                busy += gap
-                                run.idx = idx
-                                run.event_kind = 1
-                                run.event_a = addrs[idx - 1]
-                                run.event_b = result
-                                event_time = t
-                                break
-                            refs += 1
-                            busy += busy_inc
-                            stall += hit_stall
-                            now = t + hit_latency
-                        else:
-                            run.idx = idx
-                    if run.event_kind:
-                        break
-                if run.barrier is not None:
-                    run.event_kind = 2
-                    run.event_a = run.barrier
-                    event_time = now
-                    run.barrier = None
-                    break
-                segment = next(run.segments, None)
-                if segment is None:
-                    run.event_kind = 3
-                    event_time = now
-                    break
-                gap, run.addrs, run.writes, run.instrs, run.barrier = segment
-                run.gap = gap
-                run.idx = 0
-                if gap and not run.addrs:
-                    # Compute-only step: advances local time, claims
-                    # nothing shared.
-                    busy += gap
-                    now += gap
-                    if now > max_cycles:
-                        stats.busy_cycles += busy
-                        stats.stall_cycles += stall
-                        stats.memory_references += refs
-                        raise SimulationError(
-                            f"core {core} passed {max_cycles} cycles; "
-                            f"runaway trace or deadlocked barrier"
-                        )
-            stats.busy_cycles += busy
-            stats.stall_cycles += stall
-            stats.memory_references += refs
-            heappush(heap, (event_time, core))
-        return finish_time
+                    resumed = streams[release_core]
+                    heappush(heap, (
+                        release_time + resumed.gaps[cursor[release_core]],
+                        release_core,
+                    ))
+            if not heap:
+                return finish_time
+            now, core = heappop(heap)
 
     # ------------------------------------------------------------------
     @staticmethod

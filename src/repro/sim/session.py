@@ -12,9 +12,10 @@ reaches everything.
 Determinism contract: a scenario's result depends only on its spec
 (replay determinism, ROADMAP Performance invariant 4), so the serial
 and parallel paths are bit-identical.  The serial path additionally
-reuses each workload's materialized trace blocks across cells that
-share ``(workload, scale, seed, active cores)`` — replaying blocks is
-exactly equivalent to regenerating them, it just skips the RNG work.
+runs each core's private-L1 pass once and replays the resulting miss
+streams across cells that share ``(workload, scale, seed, active
+cores, L1 config)`` — a core's L1 behaviour depends on nothing else,
+so the replay is exactly equivalent to redoing it.
 
 The same determinism makes results perfectly cacheable: both functions
 accept ``store=`` (any :class:`repro.store.ResultStore`), serve
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.tracing import trace
+from repro.sim.l1pass import MissStream, miss_streams
 from repro.sim.stats import SimReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards (scenario
@@ -123,9 +125,9 @@ def run_scenario(
     """Execute one scenario; safe to call in any process.
 
     ``traces`` optionally supplies pre-built per-core trace iterators
-    (they must match the scenario's active cores); sweeps use this to
-    generate a workload's traces once and replay them across cells that
-    share the same core set.
+    or miss streams (they must match the scenario's active cores);
+    sweeps use this to run a workload's L1 pass once and replay its
+    streams across cells that share the same core set.
 
     ``store`` memoizes the call: a stored result for this scenario's
     fingerprint is rehydrated and returned without simulating (replay
@@ -162,17 +164,22 @@ def run_scenario(
 
 
 class SweepTraceCache:
-    """Materialized trace blocks, replayable across sweep cells.
+    """Per-core miss streams, replayable across sweep cells.
 
-    Keyed by ``(workload, scale, seed, active cores)`` — the exact
-    tuple trace generation depends on.  Generation is deterministic, so
-    replaying the same blocks is equivalent to regenerating them; each
-    cell still sees a fresh iterator.
+    Keyed by ``(workload, scale, seed, active cores, L1 config)`` — the
+    exact tuple a core's private-L1 behaviour depends on (see
+    :mod:`repro.sim.l1pass`).  The interconnect, power state's banks
+    and DRAM do not enter it, so Fig 6's four fabrics share one L1
+    pass per program and Fig 7's four power states share two (all 16
+    cores, and cores 6-9).  A stream is never modified by a run, so
+    every cell gets the same one.  Legacy-mode cells get freshly
+    generated traces instead: that scheduler is the oracle the
+    streams are checked against.
 
-    Peak memory is bounded: blocks are kept for at most
+    Peak memory is bounded: streams are kept for at most
     ``keep_workloads`` distinct workloads (LRU), matching the
     per-benchmark cache lifetime of the pre-scenario harness — grids
-    iterate workload-outermost, so completed workloads' arrays are
+    iterate workload-outermost, so completed workloads' streams are
     never needed again.
     """
 
@@ -180,7 +187,7 @@ class SweepTraceCache:
         if keep_workloads < 1:
             raise ValueError("keep_workloads must be >= 1")
         self._keep_workloads = keep_workloads
-        self._blocks: Dict[Tuple[str, float, int, Tuple[int, ...]], Dict[int, list]] = {}
+        self._streams: Dict[Tuple, Dict[int, MissStream]] = {}
         self._workload_order: List[str] = []  # LRU, most recent last
 
     def _touch(self, workload: str) -> None:
@@ -190,28 +197,32 @@ class SweepTraceCache:
         order.append(workload)
         while len(order) > self._keep_workloads:
             evicted = order.pop(0)
-            for key in [k for k in self._blocks if k[0] == evicted]:
-                del self._blocks[key]
+            for key in [k for k in self._streams if k[0] == evicted]:
+                del self._streams[key]
 
     def traces(self, scenario: "Scenario") -> Dict[int, object]:
-        """Fresh per-core iterators over the cached blocks."""
+        """The cell's per-core miss streams (raw traces in legacy mode)."""
+        if scenario.engine_mode == "legacy":
+            return scenario.build_traces()
         cores = scenario.active_cores()
-        key = (scenario.workload, scenario.scale, scenario.seed, cores)
+        l1_config = scenario.config.l1
+        key = (scenario.workload, scenario.scale, scenario.seed, cores, l1_config)
         self._touch(scenario.workload)
-        blocks = self._blocks.get(key)
-        if blocks is None:
+        streams = self._streams.get(key)
+        if streams is None:
             lazy = scenario.build_workload().trace_blocks(cores)
-            blocks = self._blocks[key] = {
-                core: list(trace) for core, trace in lazy.items()
-            }
-        return {core: iter(items) for core, items in blocks.items()}
+            streams = self._streams[key] = miss_streams(
+                lazy, l1_config, scenario.max_cycles
+            )
+        return dict(streams)
 
 
 def _cached_traces(cache: SweepTraceCache, scenario: "Scenario") -> Dict[int, object]:
     """Cache lookup timed as the sweep's trace-generation phase.
 
-    Hits replay in microseconds, misses pay full generation — the
-    ``repro_engine_trace_gen_seconds`` histogram shows both modes.
+    Hits return in microseconds, misses pay trace generation plus the
+    L1 pass — the ``repro_engine_trace_gen_seconds`` histogram shows
+    both modes.
     """
     with trace("engine.trace_gen", workload=scenario.workload):
         return cache.traces(scenario)
@@ -225,7 +236,7 @@ def run_sweep(
 ) -> List[ScenarioResult]:
     """Execute every cell of a sweep; results in cell order.
 
-    ``jobs=None``/``0``/``1`` runs serially in-process (with trace-block
+    ``jobs=None``/``0``/``1`` runs serially in-process (with miss-stream
     reuse across cells sharing a workload); ``jobs=N`` ships pickled
     scenarios to N worker processes; ``jobs<0`` uses one worker per
     CPU.  ``pool`` supplies a live :class:`ProcessPoolExecutor` to use

@@ -13,9 +13,9 @@ Two representations exist for the same trace:
   vocabulary, kept for tests, trace files and the legacy scheduler);
 * :class:`TraceBlock` — an array-backed run of references sharing one
   compute gap, produced by the vectorized generators and consumed
-  natively by the fast-path scheduler.  :meth:`TraceBlock.steps`
-  expands a block into the exact equivalent step sequence, so either
-  representation can feed either scheduler.
+  natively by the private-L1 pass (:mod:`repro.sim.l1pass`).
+  :meth:`TraceBlock.steps` expands a block into the exact equivalent
+  step sequence, so either representation can feed either scheduler.
 """
 
 from __future__ import annotations

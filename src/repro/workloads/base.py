@@ -20,7 +20,7 @@ Trace construction is vectorized: each section is built as one
 array-backed :class:`~repro.sim.trace.TraceBlock` (addresses, write and
 ifetch flags as numpy arrays) with no per-reference Python objects.
 :meth:`SyntheticWorkload.trace_blocks` exposes the blocks directly for
-the fast-path scheduler; :meth:`SyntheticWorkload.traces` expands the
+the private-L1 pass; :meth:`SyntheticWorkload.traces` expands the
 same blocks into the classic per-reference :class:`TraceStep` stream,
 so both APIs describe the identical workload.
 """

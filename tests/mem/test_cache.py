@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import _UNFILLED, SetAssociativeCache
 
 
 def make(capacity=4 * 1024, line=32, assoc=4, **kw) -> SetAssociativeCache:
@@ -151,3 +151,32 @@ class TestFlush:
         before = c.stats.accesses
         assert c.probe(0x0)
         assert c.stats.accesses == before
+
+
+class TestLazySets:
+    """A set's containers appear on its first fill; until then every
+    unfilled set shares one empty, never-written placeholder."""
+
+    def test_only_filled_sets_own_state(self):
+        c = make()
+        step = 32 * c.n_sets
+        for way in range(6):  # one set: fills, then evicts
+            c.access(way * step, is_write=True)
+        c.access(32)  # a second set
+        owned = [i for i, s in enumerate(c._sets) if s is not _UNFILLED]
+        assert owned == [0, 1]
+        assert len(c._sets[0]) == 4 and c.resident_lines == 5
+        assert c.probe(5 * step) and not c.probe(64)
+        assert not c.write_no_allocate(64)  # unfilled set: a miss
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_placeholder_never_written(self, policy):
+        c = make(policy=policy)
+        c._policies  # LRU views over stacks made before any fill
+        for address in range(0, 64 * 1024, 96):
+            c.access(address, is_write=address % 3 == 0)
+        c.flush()
+        c.invalidate_all()
+        assert not _UNFILLED
+        assert c.access(0).hit is False  # refills after invalidation
+        assert c.access(0).hit is True

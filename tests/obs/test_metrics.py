@@ -7,6 +7,7 @@ module docstring promises — instruments are always on, so their cost
 is a correctness property.
 """
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +83,19 @@ class TestHistogram:
         snap = hist.snapshot()
         assert snap["buckets"]["2"] == 0
         assert snap["buckets"]["+Inf"] == 1
+
+    @pytest.mark.parametrize("value, bucket", [
+        (-math.inf, 0), (-1.0, 0), (0.0, 0), (1.0, 0),  # bounds inclusive
+        (1.5, 1), (2.0, 1), (3.999, 2), (4.0, 2),
+        (4.000001, 3), (1e9, 3), (math.inf, 3),  # above the last bound
+        (math.nan, 3),  # NaN compares false with every bound: +Inf
+    ])
+    def test_bucket_of_each_value(self, value, bucket):
+        hist = Histogram("h_seconds", buckets=(1.0, 2.0, 4.0))
+        hist.observe(value)
+        counts, total, _ = hist._snapshot_counts()
+        assert counts == [int(i == bucket) for i in range(4)]
+        assert total == 1
 
     def test_quantiles_under_eight_thread_hammer(self):
         """Concurrent observation of a known distribution: count, sum

@@ -1,10 +1,15 @@
 """Tests of the conservative event-driven scheduler."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.mot.power_state import PC4_MB8
+from repro.sim.cluster import Cluster3D
 from repro.sim.engine import SimulationEngine
-from repro.sim.trace import MemRef, TraceStep
+from repro.sim.trace import MemRef, TraceBlock, TraceStep
+from repro.workloads.base import SyntheticWorkload
 
 
 def flat_memory(latency: int):
@@ -100,6 +105,48 @@ class TestBasicExecution:
             eng.run()
 
 
+class TestSafetyValve:
+    """``max_cycles`` trips at the same cycle under both schedulers."""
+
+    @staticmethod
+    def run_cell(mode, barriers, max_cycles=2_000_000_000):
+        traces = SyntheticWorkload("volrend", scale=0.03).trace_blocks(
+            sorted(PC4_MB8.active_cores)
+        )
+        if not barriers:  # the last core's finish is the latest event
+            traces = {
+                core: [TraceBlock(b.compute_gap, b.addresses, b.is_write,
+                                  b.is_instruction)
+                       for b in blocks if isinstance(b, TraceBlock)]
+                for core, blocks in traces.items()
+            }
+        return Cluster3D(power_state=PC4_MB8).run(
+            traces, max_cycles=max_cycles, engine_mode=mode
+        )
+
+    @pytest.mark.parametrize("barriers", [True, False])
+    @pytest.mark.parametrize("mode", ["auto", "legacy"])
+    def test_valve_at_execution_cycles(self, mode, barriers):
+        cycles = self.run_cell("legacy", barriers).execution_cycles
+        with pytest.raises(SimulationError):
+            self.run_cell(mode, barriers, max_cycles=cycles - 1)
+        run = self.run_cell(mode, barriers, max_cycles=cycles)
+        assert run.execution_cycles == cycles
+
+    @pytest.mark.parametrize("mode", ["auto", "legacy"])
+    def test_endless_trace_stops(self, mode):
+        """An endless trace raises instead of running (or, in the L1
+        pass, collecting its stream) forever."""
+        traces = {
+            core: itertools.repeat(TraceStep(compute_cycles=10, ref=MemRef(0)))
+            for core in PC4_MB8.active_cores
+        }
+        with pytest.raises(SimulationError):
+            Cluster3D(power_state=PC4_MB8).run(
+                traces, max_cycles=5_000, engine_mode=mode
+            )
+
+
 class TestBarriers:
     def test_barrier_synchronizes(self):
         eng = SimulationEngine(
@@ -162,6 +209,15 @@ class TestEngineModes:
             SimulationEngine(
                 {0: steps(TraceStep(compute_cycles=1))}, flat_memory(1),
                 mode="fast",
+            )
+
+    def test_fast_mode_requires_miss_streams(self):
+        cluster = Cluster3D(power_state=PC4_MB8)
+        with pytest.raises(SimulationError):
+            SimulationEngine(
+                {core: steps(TraceStep(compute_cycles=1))
+                 for core in PC4_MB8.active_cores},
+                cluster.memory_access, memory_system=cluster, mode="fast",
             )
 
     def test_auto_defaults_to_legacy_for_plain_callbacks(self):

@@ -133,7 +133,7 @@ class TestRunSweep:
         assert cached.report == fresh.report == again.report
 
     def test_trace_cache_bounds_memory(self):
-        """Completed workloads' blocks are evicted (LRU by workload),
+        """Completed workloads' streams are evicted (LRU by workload),
         and eviction never changes results (regeneration is
         deterministic)."""
         cache = SweepTraceCache(keep_workloads=1)
@@ -141,7 +141,7 @@ class TestRunSweep:
         b = Scenario(workload="fft", scale=SCALE)
         first = run_scenario(a, traces=cache.traces(a))
         run_scenario(b, traces=cache.traces(b))  # evicts volrend
-        assert len(cache._blocks) == 1
+        assert len(cache._streams) == 1
         evicted_rerun = run_scenario(a, traces=cache.traces(a))
         assert evicted_rerun.report == first.report
 
