@@ -14,10 +14,9 @@ site                      instrumented at
                           HTTP attempt (``drop-request``, ``drop-response``,
                           ``http-500``, ``delay``)
 ``worker.compute``        :meth:`SweepWorker.step <repro.service.worker.
-                          SweepWorker.step>` and the server's
-                          :class:`~repro.service.executor.BatchingExecutor`
-                          batch loop (``crash`` — the worker dies holding
-                          its leases, stage ``"leased"`` or ``"computed"``)
+                          SweepWorker.step>` (``crash`` — the worker dies
+                          holding its leases, stage ``"leased"`` or
+                          ``"computed"``)
 ``store.write``           :meth:`JsonlStore._append <repro.store.jsonl.
                           JsonlStore._append>` (``torn-write``) and
                           :meth:`SqliteStore._put <repro.store.sqlite.

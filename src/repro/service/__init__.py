@@ -8,14 +8,16 @@ cold cell through one :class:`~repro.service.queue.WorkQueue` so it is
 simulated exactly once no matter how many requests, jobs or machines
 name it.
 
-Two kinds of consumer drain the queue:
+One consumer, :class:`~repro.service.worker.SweepWorker`, drains the
+queue over either of two transports:
 
-* the in-process :class:`~repro.service.executor.BatchingExecutor`
-  (``repro serve --jobs N`` — the standalone deployment);
-* remote :class:`~repro.service.worker.SweepWorker` loops
-  (``repro worker --server URL`` — the distributed deployment), which
-  pull serialized scenarios over ``GET /queue/lease`` and push
-  ``(fingerprint, payload)`` pairs home over ``POST /queue/complete``.
+* in-process, straight from the server's :class:`WorkQueue` — the
+  local compute of ``repro serve --jobs N`` (the standalone
+  deployment);
+* over HTTP — ``repro worker --server URL`` (the distributed
+  deployment) pulls serialized scenarios over ``GET /queue/lease`` and
+  pushes ``(fingerprint, payload)`` pairs home over
+  ``POST /queue/complete``.
 
 For multi-core serving, :class:`~repro.service.prefork.PreforkServer`
 (``repro serve --procs K``) runs K ScenarioServer processes behind one
@@ -24,14 +26,14 @@ of a :class:`~repro.store.sharded.ShardedStore`.
 
 :class:`~repro.service.client.ServiceClient` is the matching urllib
 client: ``client.run(scenario)`` / ``client.run_sweep(grid)`` mirror
-the local executor API remotely, and ``client.submit_sweep(grid)`` /
-``client.wait(job_id)`` drive asynchronous distributed sweeps.
+the local ``run_scenario``/``run_sweep`` API remotely, and
+``client.submit_sweep(grid)`` / ``client.wait(job_id)`` drive
+asynchronous distributed sweeps.
 """
 
 from __future__ import annotations
 
 from repro.service.client import RetryPolicy, ServiceClient
-from repro.service.executor import BatchingExecutor
 from repro.service.prefork import PreforkServer
 from repro.service.queue import Lease, WorkQueue
 from repro.service.server import ScenarioServer
@@ -39,7 +41,6 @@ from repro.service.spec import scenario_from_request, validate_scenario
 from repro.service.worker import SweepWorker
 
 __all__ = [
-    "BatchingExecutor",
     "Lease",
     "PreforkServer",
     "RetryPolicy",

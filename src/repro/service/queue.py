@@ -45,14 +45,16 @@ without a cell, and submitting one that is already pending or leased
 attaches to the in-flight cell — a cell is simulated at most once no
 matter how many jobs or synchronous requests name it.
 
-Consumers are symmetric: the service's local
-:class:`~repro.service.executor.BatchingExecutor` leases batches through
-the same :meth:`lease` API remote workers use over
-``GET /queue/lease`` (the local consumer takes non-expiring leases — an
-in-process thread cannot crash without taking the queue with it).
-Completions with a stale token — the cell expired and was re-leased —
-are rejected without touching the store; the replacement worker's
-result is the one that lands.
+One consumer, :class:`~repro.service.worker.SweepWorker`, drains the
+queue over two transports.  Remote workers lease over
+``GET /queue/lease`` and push payloads home over
+``POST /queue/complete``; the service's local worker calls
+:meth:`lease_wait` with non-expiring leases (an in-process thread
+cannot crash without taking the queue with it) and settles through
+:meth:`complete_local` and :meth:`fail`.  Completions with a stale
+token — the cell expired and was re-leased — are rejected without
+touching the store; the replacement worker's result is the one that
+lands.
 """
 
 from __future__ import annotations
@@ -114,6 +116,16 @@ class Lease:
             "expires_s": self.expires_s,
         }
 
+    @classmethod
+    def from_dict(cls, entry: Mapping[str, object]) -> "Lease":
+        """Inverse of :meth:`to_dict` (what a remote worker leased)."""
+        return cls(
+            fingerprint=entry["fingerprint"],
+            scenario=Scenario.from_dict(entry["scenario"]),
+            token=entry["lease"],
+            expires_s=entry.get("expires_s"),
+        )
+
 
 @dataclass
 class _Cell:
@@ -152,7 +164,7 @@ class WorkQueue:
     attempt budget before a failing cell is dead-lettered.
 
     Thread-safe: submissions, leases and completions may arrive
-    concurrently from HTTP handler threads and the local executor.
+    concurrently from HTTP handler threads and the local worker.
     All store writes are serialized through one internal lock — the
     queue *is* the single writer the store backends assume.
     """
@@ -375,7 +387,7 @@ class WorkQueue:
         """Lease up to ``n`` pending cells to ``worker``.
 
         ``lease_seconds`` overrides the queue default; ``math.inf``
-        takes a non-expiring lease (the local executor — an in-process
+        takes a non-expiring lease (the local worker — an in-process
         consumer cannot crash independently of the queue).  Expired
         leases are reclaimed first, so a crashed worker's cells are
         handed to the next caller.
@@ -421,7 +433,7 @@ class WorkQueue:
 
         Returns immediately once at least one cell is ready (then
         leases up to ``n``); an empty list means the timeout elapsed or
-        the queue closed.  This is the local executor's idle loop — no
+        the queue closed.  This is the local worker's idle wait — no
         polling interval shows up on the serving path.
         """
         deadline = self._clock() + timeout
@@ -487,23 +499,30 @@ class WorkQueue:
                 and cell.expiry is not None
                 and cell.expiry <= now
             ):
-                cell.errors.append(
-                    f"attempt {cell.attempts}: lease expired "
-                    f"(worker crashed or stopped renewing)"
-                )
                 self.reclaimed += 1
-                if cell.attempts >= self.max_attempts:
-                    self._dead_letter_locked(cell)
+                if self._retry_locked(
+                    cell, "lease expired (worker crashed or stopped renewing)"
+                ):
                     dead.append(cell)
-                    continue
-                cell.state = _PENDING
-                cell.token = None   # the old lease is now stale
-                cell.expiry = None
-                cell.leased_at = None
-                cell.enqueued_at = now
-                self._ready_fps.append(cell.fingerprint)
-                self._ready.notify_all()
         return dead
+
+    def _retry_locked(self, cell: _Cell, error: str) -> bool:
+        """Record a failed attempt, then send the cell back to pending
+        or, once its attempt budget is spent, dead-letter it (lock
+        held).  Returns whether it was dead-lettered: the caller then
+        passes it to :meth:`_settle_dead` after releasing the lock."""
+        cell.errors.append(f"attempt {cell.attempts}: {error}")
+        if cell.attempts >= self.max_attempts:
+            self._dead_letter_locked(cell)
+            return True
+        cell.state = _PENDING
+        cell.token = None   # the old lease is now stale
+        cell.expiry = None
+        cell.leased_at = None
+        cell.enqueued_at = self._clock()
+        self._ready_fps.append(cell.fingerprint)
+        self._ready.notify_all()
+        return False
 
     # ------------------------------------------------------------------
     # Completion
@@ -542,7 +561,8 @@ class WorkQueue:
     def complete_local(
         self, fingerprint: str, token: str, result: ScenarioResult
     ) -> str:
-        """In-process completion (the executor's path): trusted result."""
+        """In-process completion (the local worker's path): a trusted
+        result, stored without serialization or validation."""
         claim = self._claim_for_completion(fingerprint, token)
         if claim is not None:
             return claim
@@ -571,23 +591,12 @@ class WorkQueue:
         cell whose attempt just failed."""
         message = str(error) if not isinstance(error, BaseException) \
             else str(error) or type(error).__name__
-        dead: Optional[_Cell] = None
         with self._lock:
-            cell.errors.append(f"attempt {cell.attempts}: {message}")
-            if cell.attempts >= self.max_attempts:
-                self._dead_letter_locked(cell)
-                dead = cell
-            else:
-                cell.state = _PENDING
-                cell.token = None
-                cell.expiry = None
-                cell.leased_at = None
-                cell.enqueued_at = self._clock()
-                self._ready_fps.append(cell.fingerprint)
+            dead = self._retry_locked(cell, message)
+            if not dead:
                 self.requeued += 1
-                self._ready.notify_all()
-        if dead is not None:
-            self._settle_dead([dead])
+        if dead:
+            self._settle_dead([cell])
             return "failed"
         return "requeued"
 
@@ -662,29 +671,19 @@ class WorkQueue:
         return None
 
     def _requeue_after_bad_payload(self, fingerprint: str) -> None:
-        dead: Optional[_Cell] = None
         with self._lock:
             self.rejected += 1
             cell = self._cells.get(fingerprint)
-            if cell is not None and cell.state == _WRITING:
-                cell.errors.append(
-                    f"attempt {cell.attempts}: completion payload failed "
-                    f"validation (wrong fingerprint or schema)"
-                )
-                if cell.attempts >= self.max_attempts:
-                    self._dead_letter_locked(cell)
-                    dead = cell
-                else:
-                    cell.state = _PENDING
-                    cell.token = None
-                    cell.expiry = None
-                    cell.leased_at = None
-                    cell.enqueued_at = self._clock()
-                    self._ready_fps.append(fingerprint)
-                    self.requeued += 1
-                    self._ready.notify_all()
-        if dead is not None:
-            self._settle_dead([dead])
+            if cell is None or cell.state != _WRITING:
+                return
+            dead = self._retry_locked(
+                cell, "completion payload failed validation "
+                "(wrong fingerprint or schema)",
+            )
+            if not dead:
+                self.requeued += 1
+        if dead:
+            self._settle_dead([cell])
 
     def _land(
         self,

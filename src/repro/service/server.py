@@ -7,7 +7,7 @@ the distributed work queue that fans cold sweeps out across machines:
 * ``POST /scenario`` — a spec (full ``Scenario.to_dict()`` or CLI-style
   shorthand, see :mod:`repro.service.spec`); a store hit is answered
   straight from the archive, a miss becomes a work-queue cell and the
-  request blocks until the local executor or a remote worker lands it.
+  request blocks until the local worker or a remote worker lands it.
 * ``POST /queue`` — submit a sweep (``{"scenarios": [spec, ...]}``) as
   one asynchronous job; returns the job id and per-cell fingerprints.
   Cells already stored are done on arrival; in-flight duplicates are
@@ -26,8 +26,8 @@ the distributed work queue that fans cold sweeps out across machines:
   the store's indexed :meth:`~repro.store.base.ResultStore.query`.
 * ``GET /results/<fingerprint-prefix>`` — one stored payload.
 * ``GET /healthz`` — liveness + record count.
-* ``GET /stats`` — service hit/miss counters, executor batching
-  counters, queue counters, store accounting.
+* ``GET /stats`` — service hit/miss counters, the local worker's
+  batching counters, queue counters, store accounting.
 * ``GET /metrics`` — the full observability registry: Prometheus text
   exposition by default, ``?format=json`` for structured snapshots,
   ``?prefix=repro_queue`` to filter.  The counters ``/stats`` reports
@@ -57,9 +57,9 @@ from repro.obs.logs import StructuredLogger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import span_metric_name
 from repro.scenario import Scenario, scenario_fingerprint
-from repro.service.executor import BatchingExecutor
 from repro.service.queue import WorkQueue
 from repro.service.spec import scenario_from_request
+from repro.service.worker import SweepWorker
 from repro.store import EvictionPolicy, ResultStore, open_store
 
 #: Query keys of ``GET /results`` that need numeric coercion (query
@@ -77,16 +77,21 @@ MAX_JOB_CELLS = 10_000
 #: Most cells leased by one ``GET /queue/lease`` call.
 MAX_LEASE_N = 1_000
 
+#: Name of the local worker's thread (the service's only store writer).
+LOCAL_WORKER = "repro-service-executor"
+
 
 class ScenarioServer:
-    """The service frontend: store + work queue + executor + listener.
+    """The service frontend: store + work queue + local worker + listener.
 
     ``store`` is a path-like spec (as ``open_store`` takes) or an
-    existing :class:`ResultStore`; ``jobs`` is forwarded to the batch
-    executor (``None`` = compute misses serially in the batch thread,
+    existing :class:`ResultStore`; ``jobs`` is forwarded to the local
+    :class:`~repro.service.worker.SweepWorker` that drains the queue
+    in-process (``None`` = compute misses serially on its thread,
     ``N`` = fan each batch out to worker processes);
-    ``local_compute=False`` starts no executor at all — the server is a
-    pure coordinator and every cell waits for a remote ``repro worker``.
+    ``local_compute=False`` starts no local worker at all — the server
+    is a pure coordinator and every cell waits for a remote
+    ``repro worker``.
     ``lease_seconds`` bounds how long a remote worker may sit on a cell
     before it is re-leased; ``max_attempts`` is the per-cell attempt
     budget before a poison cell is dead-lettered (see
@@ -113,7 +118,6 @@ class ScenarioServer:
         local_compute: bool = True,
         lease_seconds: float = 60.0,
         max_attempts: int = 5,
-        faults: Optional[object] = None,
         registry: Optional[MetricsRegistry] = None,
         access_log: bool = False,
         log_json: bool = False,
@@ -131,13 +135,25 @@ class ScenarioServer:
             self.store, lease_seconds=lease_seconds,
             max_attempts=max_attempts, registry=self.registry,
         )
-        self.executor: Optional[BatchingExecutor] = None
+        self.local_worker: Optional[SweepWorker] = None
+        self._local_stop = threading.Event()
+        self._local_thread: Optional[threading.Thread] = None
         if local_compute:
-            self.executor = BatchingExecutor(
-                self.store, jobs=jobs, queue=self.queue, faults=faults,
-                registry=self.registry,
+            worker = SweepWorker(
+                self.queue, jobs=jobs, poll_s=0.25, name=LOCAL_WORKER
             )
-        self.jobs = self.executor.jobs if self.executor else 0
+            # Cells per local batch: bounded so a non-expiring local
+            # lease cannot swallow a whole submitted sweep and starve
+            # remote workers; large enough to keep the batching, dedup
+            # and trace-reuse wins for request bursts.
+            worker.lease_n = max(16, 4 * (worker.jobs or 1))
+            self.local_worker = worker
+            self._local_thread = threading.Thread(
+                target=worker.run, args=(self._local_stop,),
+                name=LOCAL_WORKER, daemon=True,
+            )
+            self._local_thread.start()
+        self.jobs = self.local_worker.jobs if self.local_worker else 0
         self.requests = 0
         self.hits = 0
         self.misses = 0
@@ -165,7 +181,7 @@ class ScenarioServer:
         except (OSError, ConfigurationError):
             # Bind failed (port in use, bad host): release what
             # __init__ already started, or a caller retrying ports
-            # leaks one batch thread + store connection per attempt.
+            # leaks one worker thread + store connection per attempt.
             self._release_components()
             raise
         if internal:
@@ -183,11 +199,19 @@ class ScenarioServer:
         self._serving = False
 
     def _release_components(self) -> None:
-        if self.executor is not None:
-            self.executor.close()
+        self._stop_local_worker(timeout=10.0)
         self.queue.shutdown()
         if self._owns_store:
             self.store.close()
+
+    def _stop_local_worker(self, timeout: float) -> None:
+        """Stop the local worker's loop; wait up to ``timeout`` for its
+        in-flight batch to settle, then release its process pool."""
+        if self.local_worker is None:
+            return
+        self._local_stop.set()
+        self._local_thread.join(timeout)
+        self.local_worker.close()
 
     # ------------------------------------------------------------------
     @property
@@ -247,8 +271,8 @@ class ScenarioServer:
         The ordered drain a SIGTERM (``repro serve``) triggers:
 
         1. stop the listener — no new requests are accepted;
-        2. drain the local executor for up to ``drain_s`` seconds — an
-           in-flight batch finishes and its results land through the
+        2. stop the local worker and wait up to ``drain_s`` seconds —
+           an in-flight batch finishes and its results land through the
            queue's single-writer path (never a torn write mid-result);
         3. shut the queue down — every still-unfinished cell fails its
            waiters with a clear "service closed" instead of hanging
@@ -278,8 +302,7 @@ class ScenarioServer:
                 conn.close()
             except OSError:
                 pass
-        if self.executor is not None:
-            self.executor.close(timeout=drain_s)
+        self._stop_local_worker(timeout=drain_s)
         self.queue.shutdown("service closed")
         if self._owns_store:
             self.store.close()
@@ -716,16 +739,13 @@ class ScenarioServer:
 
     def handle_stats(self) -> Dict[str, object]:
         # One lock acquisition per component: each counter family is
-        # snapshotted atomically (service under _stats_lock, executor
-        # under its stats lock, the queue under its own lock, the store
-        # under its counters lock), so the numbers within a family are
-        # always mutually consistent — no interleaved reads mid-batch.
+        # snapshotted atomically (service under _stats_lock, the queue
+        # under its own lock, the store under its counters lock), so
+        # the numbers within a family are always mutually consistent.
         with self._stats_lock:
             requests, hits, misses = self.requests, self.hits, self.misses
             forwarded = self.forwarded
-        executor = self.executor
-        batching = executor.snapshot() if executor \
-            else {"batches": 0, "batched_scenarios": 0}
+        worker = self.local_worker
         queue_stats = self.queue.stats()
         store_counters = self.store.counters()
         store_block: Dict[str, object] = {
@@ -746,10 +766,10 @@ class ScenarioServer:
             "misses": misses,
             "forwarded": forwarded,
             "pending": queue_stats["pending"] + queue_stats["leased"],
-            "batches": batching["batches"],
-            "batched_scenarios": batching["batched_scenarios"],
-            "jobs": self.jobs or (1 if executor else 0),
-            "local_compute": executor is not None,
+            "batches": worker.batches if worker else 0,
+            "batched_scenarios": worker.leased if worker else 0,
+            "jobs": self.jobs or (1 if worker else 0),
+            "local_compute": worker is not None,
             "proc_index": self.proc_index,
             "procs": len(self._peers) or 1,
             "queue": queue_stats,
@@ -996,7 +1016,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
             except Exception as exc:
                 # The spec was valid but execution failed (engine error,
-                # executor shutdown, timeout): the server's fault class.
+                # queue shutdown, timeout): the server's fault class.
                 self._send_error(500, f"{type(exc).__name__}: {exc}")
         except OSError:  # pragma: no cover - client went away
             self.close_connection = True

@@ -14,8 +14,8 @@
 Both funnel into one :class:`~repro.scenario.Scenario`, eagerly
 validated against the registries, so a bad spec fails here with a
 :class:`~repro.errors.ConfigurationError` (the server's 400) instead
-of inside the batch executor where it would abort innocent co-batched
-requests.
+of inside the queue consumer's batch, where it would abort innocent
+co-batched requests.
 """
 
 from __future__ import annotations

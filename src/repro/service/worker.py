@@ -1,54 +1,82 @@
-"""Distributed sweep worker: lease cells, simulate, push results home.
+"""The queue consumer: lease cells, simulate, settle the outcomes.
 
-``repro worker --server http://host:8321 --jobs 4`` turns any machine
-into extra sweep capacity for a running scenario service.  The loop is
-deliberately dumb — all coordination lives in the server's
-:class:`~repro.service.queue.WorkQueue`:
+:class:`SweepWorker` is the one loop that computes service cells.  It
+drains a :class:`~repro.service.queue.WorkQueue` over one of two
+transports:
 
-1. ``GET /queue/lease?n=K`` — pull up to K serialized scenarios (each
-   with a lease token; an expired lease means the server hands the
-   cell to someone else, so a crashed worker costs one lease window,
-   never a lost cell);
-2. rebuild each cell with :meth:`Scenario.from_dict` and run the batch
-   through the same memoization-free :func:`~repro.sim.session.run_sweep`
-   machinery local sweeps use (``--jobs N`` fans a leased batch across
-   worker processes; replay determinism makes the result bit-identical
-   to any other machine's);
-3. ``POST /queue/complete`` — push ``(fingerprint, lease, payload)``
-   triples home; the server validates each payload against its
-   fingerprint and persists through the store's single-writer path.
+* a server URL — ``repro worker --server http://host:8321 --jobs 4``
+  turns any machine into extra sweep capacity for a running scenario
+  service.  ``GET /queue/lease?n=K`` pulls up to K serialized scenarios,
+  each with a lease token that expires unless renewed (a crashed worker
+  costs one lease window, never a lost cell), and
+  ``POST /queue/complete`` pushes ``(fingerprint, lease, payload)``
+  triples home, where the server validates each payload against its
+  fingerprint before the store's single-writer path persists it;
+* an in-process :class:`WorkQueue` — the local compute of
+  ``repro serve``.  :meth:`WorkQueue.lease_wait` blocks on the queue's
+  condition, so no idle poll sits on the serving path; its leases never
+  expire (an in-process consumer cannot crash without taking its queue
+  along), and results settle through :meth:`WorkQueue.complete_local`
+  with no serialization.
 
-Workers never open the store and never talk to each other; the queue's
-lease tokens make duplicate or stale completions harmless (they are
-rejected, not written).  Run as many workers against one server as you
-have machines.
+Either way a round is the same: lease up to ``lease_n`` cells, renew
+expiring leases on a heartbeat while the batch computes, run the batch
+as one :func:`~repro.sim.session.run_sweep` call (``--jobs N`` fans it
+across a process pool; replay determinism makes every result
+bit-identical to any other machine's), fall back to one outcome per
+cell when the batch raises, and settle.  Workers never open the store
+and never talk to each other; the queue's lease tokens make duplicate
+or stale completions harmless (they are rejected, not written).
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry
 from repro.scenario import Scenario
 from repro.service.client import ServiceClient
+from repro.service.queue import Lease, WorkQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
+    from repro.sim.session import ScenarioResult
+
+#: Bucket bounds of ``repro_worker_batch_size`` (cells per batch;
+#: powers of two up to the service's local lease bound).
+BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+#: What one leased cell came to: its result, or the error it raised.
+Outcome = Union["ScenarioResult", Exception]
+
+
+def _ignore_sigint() -> None:  # pragma: no cover - runs in pool processes
+    """Pool processes ignore Ctrl-C; the parent coordinates shutdown
+    (otherwise every process dumps a KeyboardInterrupt traceback when a
+    terminal signals the whole foreground group)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class SweepWorker:
-    """One pull/compute/push loop against a scenario service.
+    """One lease/compute/settle loop over a work queue.
 
-    ``jobs`` fans each leased batch across local worker processes
-    (``None`` = serial in-process, with trace-block reuse; ``-1`` = one
-    per CPU); ``lease_n`` is how many cells to pull per round (default:
-    the process parallelism, so the pool stays full); ``poll_s`` is the
-    idle sleep between empty lease responses.
+    ``server`` is a scenario service URL (the remote transport) or a
+    :class:`WorkQueue` in this process (the local transport).  ``jobs``
+    fans each leased batch across worker processes (``None`` = serial
+    in-process, with miss-stream reuse; ``-1`` = one per CPU);
+    ``lease_n`` is how many cells to pull per round (default: the
+    process parallelism, so the pool stays full); ``poll_s`` is the
+    idle wait between empty leases.
 
     ``connect_retries`` bounds *consecutive* transport-class failures
     (unreachable server, 5xx) in :meth:`run` — beyond the client's own
@@ -63,7 +91,7 @@ class SweepWorker:
 
     def __init__(
         self,
-        server_url: str,
+        server: Union[str, WorkQueue],
         jobs: Optional[int] = None,
         poll_s: float = 0.5,
         lease_n: Optional[int] = None,
@@ -72,7 +100,14 @@ class SweepWorker:
         connect_retries: int = 10,
         faults: Optional["FaultPlan"] = None,
     ) -> None:
-        self.client = ServiceClient(server_url, timeout=timeout)
+        if isinstance(server, WorkQueue):
+            self.queue: Optional[WorkQueue] = server
+            self.client: Optional[ServiceClient] = None
+            registry = server.registry
+        else:
+            self.queue = None
+            self.client = ServiceClient(server, timeout=timeout)
+            registry = default_registry()
         if jobs is not None and jobs < 0:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
@@ -81,16 +116,18 @@ class SweepWorker:
         self.connect_retries = connect_retries
         self.faults = faults
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
-        # One long-lived process pool across lease rounds (lazily
-        # spawned): a round is only ~lease_n cells, so paying pool
-        # startup per round would dominate small-cell sweeps.
-        self._pool = None
-        #: Loop counters (printed by ``repro worker`` on exit).
+        #: Loop counters (``repro worker`` prints them on exit; the
+        #: service's ``/stats`` reads its local worker's).
+        self.batches = 0
         self.leased = 0
         self.completed = 0
         self.failed = 0
         self.rejected = 0
-        registry = default_registry()
+        self._batch_size = registry.histogram(
+            "repro_worker_batch_size",
+            buckets=BATCH_SIZE_BUCKETS,
+            help="cells leased per batch",
+        )
         self._compute_seconds = registry.histogram(
             "repro_worker_compute_seconds",
             help="wall time of one leased batch's computation",
@@ -100,6 +137,7 @@ class SweepWorker:
             help="wall time pushing one batch's completions home",
         )
         for counter, doc in (
+            ("batches", "batches leased by this process's workers"),
             ("leased", "cells leased by this process's workers"),
             ("completed", "cells this process's workers landed"),
             ("failed", "cells whose computation errored here"),
@@ -111,152 +149,49 @@ class SweepWorker:
                 kind="counter",
                 help=doc,
             )
+        # One long-lived process pool for every round, started now:
+        # paying process startup per batch would sit on the serving
+        # path (and dominate small-cell sweeps).
+        self._pool = self._start_pool()
 
     # ------------------------------------------------------------------
-    def step(self) -> int:
-        """One lease/compute/push round; returns the cells leased.
-
-        Zero means the queue had nothing for us — the caller decides
-        whether to sleep and retry (:meth:`run`) or stop
-        (:meth:`drain`).  While the batch computes, a heartbeat thread
-        renews the leases, so a batch that outlives one lease window is
-        not reclaimed out from under us (only *crashed* workers stop
-        renewing).
-        """
-        leases = self.client.lease(n=self.lease_n, worker=self.name)
-        if not leases:
-            return 0
-        self.leased += len(leases)
-        self._maybe_crash("leased", leases)
-        heartbeat_stop = threading.Event()
-        heartbeat = self._start_heartbeat(leases, heartbeat_stop)
-        started = time.perf_counter()
-        try:
-            completions = self._compute(leases)
-        finally:
-            self._compute_seconds.observe(time.perf_counter() - started)
-            heartbeat_stop.set()
-            if heartbeat is not None:
-                heartbeat.join(timeout=10.0)
-        self._maybe_crash("computed", leases)
-        started = time.perf_counter()
-        ack = self.client.complete(completions)
-        self._push_seconds.observe(time.perf_counter() - started)
-        for status in ack["statuses"]:
-            if status in ("done", "already-done"):
-                self.completed += 1  # landed (here or via a retry race)
-            elif status in ("failed", "requeued"):
-                self.failed += 1  # our computation errored
-            else:  # stale-lease / bad-payload / unknown: wasted work,
-                self.rejected += 1  # but never wrong results
-        return len(leases)
-
-    def _maybe_crash(
-        self, stage: str, leases: List[Dict[str, object]]
-    ) -> None:
-        """Fault hook: die holding the batch (site ``worker.compute``)."""
-        if self.faults is None:
-            return
-        rule = self.faults.fire(
-            "worker.compute", stage=stage, worker=self.name,
-            fingerprints=[lease["fingerprint"] for lease in leases],
-        )
-        if rule is not None and rule.kind == "crash":
-            from repro.faults import WorkerCrashed
-
-            self.close()
-            raise WorkerCrashed(
-                f"worker {self.name} crashed ({stage}) holding "
-                f"{len(leases)} lease(s)"
-            )
-
-    def _start_heartbeat(
-        self, leases: List[Dict[str, object]], stop: threading.Event
-    ) -> Optional[threading.Thread]:
-        """Renew the given leases on a timer until ``stop`` is set."""
-        windows = [
-            lease["expires_s"] for lease in leases
-            if lease.get("expires_s") is not None
-        ]
-        if not windows:
-            return None  # non-expiring leases: nothing to keep alive
-        interval = max(0.05, min(windows) * 0.4)
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                try:
-                    self.client.renew(leases)
-                except ServiceError:
-                    pass  # server briefly away: the next beat retries
-
-        thread = threading.Thread(
-            target=beat, name=f"{self.name}-heartbeat", daemon=True
-        )
-        thread.start()
-        return thread
-
-    def _compute(
-        self, leases: List[Dict[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Run one leased batch; one completion entry per lease.
-
-        A batch failure falls back to per-cell execution so one broken
-        cell reports an ``error`` entry instead of voiding its
-        co-leased cells (mirroring the server-side executor's retry)."""
-        from repro.sim.session import run_sweep
-
-        scenarios = [
-            Scenario.from_dict(lease["scenario"]) for lease in leases
-        ]
-        try:
-            results = run_sweep(scenarios, pool=self._ensure_pool())
-        except BaseException:
-            self._reset_broken_pool()
-            completions = []
-            for lease, scenario in zip(leases, scenarios):
-                entry: Dict[str, object] = {
-                    "fingerprint": lease["fingerprint"],
-                    "lease": lease["lease"],
-                }
-                try:
-                    entry["payload"] = run_sweep([scenario])[0].to_dict()
-                except BaseException as exc:
-                    entry["error"] = f"{type(exc).__name__}: {exc}"
-                completions.append(entry)
-            return completions
-        return [
-            {
-                "fingerprint": lease["fingerprint"],
-                "lease": lease["lease"],
-                "payload": result.to_dict(),
-            }
-            for lease, result in zip(leases, results)
-        ]
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """The lazily spawned long-lived process pool (None = serial)."""
+    def _start_pool(self) -> Optional[ProcessPoolExecutor]:
+        """A new process pool (``None`` = serial), warming off-thread."""
         if self.jobs is None or self.jobs <= 1:
             return None
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        # Spawned (not forked) processes: the server runs this pool
+        # inside a multithreaded process, and forking while handler
+        # threads hold locks can deadlock the children.
+        pool = ProcessPoolExecutor(
+            max_workers=self.jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_ignore_sigint,
+        )
+        # Spawned processes cost ~a second of interpreter startup each;
+        # start them now, off-thread, so the first batch doesn't pay it.
+        threading.Thread(
+            target=self._warm, args=(pool,), name=f"{self.name}-warm",
+            daemon=True,
+        ).start()
+        return pool
 
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._pool
-
-    def _reset_broken_pool(self) -> None:
-        """Drop a possibly poisoned pool (a crashed worker process
-        breaks the whole executor); the next round respawns it."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def _warm(self, pool: ProcessPoolExecutor) -> None:
+        try:
+            # Overlapping sleeps force the pool to its full process
+            # count (idle pools spawn lazily, one per pending task).
+            for future in [
+                pool.submit(time.sleep, 0.2) for _ in range(self.jobs)
+            ]:
+                future.result(timeout=60.0)
+        except Exception:  # pragma: no cover - warmup is best-effort
+            pass
 
     def close(self) -> None:
-        """Release the process pool (idempotent)."""
+        """Release the process pool (idempotent).
+
+        Queued work is dropped and in-flight simulations are not waited
+        for (a scale-1.0 cell runs for minutes).
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -268,18 +203,186 @@ class SweepWorker:
         self.close()
 
     # ------------------------------------------------------------------
+    def step(self) -> int:
+        """One lease/compute/settle round; returns the cells leased.
+
+        Zero means the queue had nothing for us — the caller decides
+        whether to wait and retry (:meth:`run`) or stop
+        (:meth:`drain`).  While the batch computes, a heartbeat thread
+        renews expiring leases, so a batch that outlives one lease
+        window is not reclaimed out from under us (only *crashed*
+        workers stop renewing).
+        """
+        leases = self._lease()
+        if not leases:
+            return 0
+        self.batches += 1
+        self.leased += len(leases)
+        self._batch_size.observe(len(leases))
+        self._maybe_crash("leased", leases)
+        heartbeat_stop = threading.Event()
+        heartbeat = self._start_heartbeat(leases, heartbeat_stop)
+        started = time.perf_counter()
+        try:
+            outcomes = self._compute([lease.scenario for lease in leases])
+        finally:
+            self._compute_seconds.observe(time.perf_counter() - started)
+            heartbeat_stop.set()
+            if heartbeat is not None:
+                heartbeat.join(timeout=10.0)
+        self._maybe_crash("computed", leases)
+        started = time.perf_counter()
+        statuses = self._settle(leases, outcomes)
+        self._push_seconds.observe(time.perf_counter() - started)
+        for status in statuses:
+            if status in ("done", "already-done"):
+                self.completed += 1  # landed (here or via a retry race)
+            elif status in ("failed", "requeued"):
+                self.failed += 1  # our computation errored
+            else:  # stale-lease / bad-payload / unknown: wasted work,
+                self.rejected += 1  # but never wrong results
+        return len(leases)
+
+    def _lease(self) -> List[Lease]:
+        if self.queue is not None:
+            return self.queue.lease_wait(
+                self.lease_n, timeout=self.poll_s, worker=self.name,
+                lease_seconds=math.inf,
+            )
+        return [
+            Lease.from_dict(entry)
+            for entry in self.client.lease(n=self.lease_n, worker=self.name)
+        ]
+
+    def _settle(
+        self, leases: Sequence[Lease], outcomes: Sequence[Outcome]
+    ) -> List[str]:
+        """Hand each cell's outcome to the queue; its status per cell."""
+        if self.queue is not None:
+            return [
+                self.queue.fail(lease.fingerprint, lease.token, outcome)
+                if isinstance(outcome, Exception)
+                else self.queue.complete_local(
+                    lease.fingerprint, lease.token, outcome
+                )
+                for lease, outcome in zip(leases, outcomes)
+            ]
+        completions: List[Dict[str, object]] = []
+        for lease, outcome in zip(leases, outcomes):
+            entry: Dict[str, object] = {
+                "fingerprint": lease.fingerprint, "lease": lease.token,
+            }
+            if isinstance(outcome, Exception):
+                entry["error"] = f"{type(outcome).__name__}: {outcome}"
+            else:
+                entry["payload"] = outcome.to_dict()
+            completions.append(entry)
+        return self.client.complete(completions)["statuses"]
+
+    def _maybe_crash(self, stage: str, leases: Sequence[Lease]) -> None:
+        """Fault hook: die holding the batch (site ``worker.compute``)."""
+        if self.faults is None:
+            return
+        rule = self.faults.fire(
+            "worker.compute", stage=stage, worker=self.name,
+            fingerprints=[lease.fingerprint for lease in leases],
+        )
+        if rule is not None and rule.kind == "crash":
+            from repro.faults import WorkerCrashed
+
+            self.close()
+            raise WorkerCrashed(
+                f"worker {self.name} crashed ({stage}) holding "
+                f"{len(leases)} lease(s)"
+            )
+
+    def _start_heartbeat(
+        self, leases: Sequence[Lease], stop: threading.Event
+    ) -> Optional[threading.Thread]:
+        """Renew the given leases on a timer until ``stop`` is set."""
+        windows = [
+            lease.expires_s for lease in leases if lease.expires_s is not None
+        ]
+        if not windows:
+            return None  # non-expiring leases: nothing to keep alive
+        interval = max(0.05, min(windows) * 0.4)
+        entries = [
+            {"fingerprint": lease.fingerprint, "lease": lease.token}
+            for lease in leases
+        ]
+
+        def beat() -> None:
+            while not stop.wait(interval):
+                try:
+                    self.client.renew(entries)
+                except ServiceError:
+                    pass  # server briefly away: the next beat retries
+
+        thread = threading.Thread(
+            target=beat, name=f"{self.name}-heartbeat", daemon=True
+        )
+        thread.start()
+        return thread
+
+    def _compute(self, scenarios: List[Scenario]) -> List[Outcome]:
+        """Run one leased batch; one outcome per cell."""
+        # Looked up per batch, so a wrapped run_sweep sees every batch.
+        from repro.sim.session import run_sweep
+
+        try:
+            return run_sweep(scenarios, pool=self._pool)
+        except Exception as exc:
+            # A crashed pool process poisons the whole pool: rebuild
+            # it, or every later batch would raise BrokenProcessPool.
+            if isinstance(exc, BrokenProcessPool) and self._pool is not None:
+                self._pool.shutdown(wait=False)
+                self._pool = self._start_pool()
+            return self._one_by_one(scenarios)
+
+    def _one_by_one(self, scenarios: List[Scenario]) -> List[Outcome]:
+        """Error fallback: one independent outcome per cell.
+
+        ``run_sweep`` aborts a batch on its first failure, discarding
+        everything computed before it — one bad cell must not void (or
+        re-bill) its co-leased cells.  With a pool the cells still run
+        in parallel.
+        """
+        from repro.sim.session import run_scenario, run_sweep
+
+        pending: List[object] = []
+        for scenario in scenarios:
+            try:
+                pending.append(
+                    run_sweep([scenario])[0] if self._pool is None
+                    else self._pool.submit(run_scenario, scenario)
+                )
+            except Exception as exc:
+                pending.append(exc)
+        outcomes: List[Outcome] = []
+        for item in pending:
+            if isinstance(item, Future):
+                try:
+                    item = item.result()
+                except Exception as exc:
+                    item = exc
+            outcomes.append(item)
+        return outcomes
+
+    # ------------------------------------------------------------------
     def run(
         self,
         stop: Optional[threading.Event] = None,
         drain: bool = False,
     ) -> None:
-        """The worker loop: lease, compute, push, repeat.
+        """The worker loop: lease, compute, settle, repeat.
 
-        ``drain=True`` exits on the first empty lease response (batch
-        jobs, CI); otherwise the loop idles on ``poll_s`` until
-        ``stop`` is set (or forever — the ``repro worker`` foreground,
-        ended by Ctrl-C/SIGTERM, which set ``stop`` so the in-flight
-        batch finishes and pushes home before the loop exits).
+        ``drain=True`` exits on the first empty lease (batch jobs, CI);
+        otherwise the loop idles until ``stop`` is set (or forever —
+        the ``repro worker`` foreground, ended by Ctrl-C/SIGTERM, which
+        set ``stop`` so the in-flight batch finishes and settles before
+        the loop exits).  Over a URL an empty lease is followed by a
+        ``poll_s`` sleep; over an in-process queue the lease itself
+        waited, and the loop also ends once the queue shuts down.
 
         Transport-class failures (server restarting or unreachable)
         are retried with the idle backoff, but only
@@ -287,7 +390,10 @@ class SweepWorker:
         a dead server raises a terminal
         :class:`~repro.errors.ServiceError` instead of looping
         silently forever.  Any successful round resets the budget.
-        The process pool is released on exit."""
+        The process pool is released on exit (and restarted by the
+        next :meth:`run`)."""
+        if self._pool is None:
+            self._pool = self._start_pool()
         consecutive_failures = 0
         last_error: Optional[ServiceError] = None
         try:
@@ -310,13 +416,18 @@ class SweepWorker:
                             status=exc.status,
                         ) from None
                     processed = 0
-                if processed == 0:
-                    if drain and consecutive_failures == 0:
+                if processed:
+                    continue
+                if drain and consecutive_failures == 0:
+                    return
+                if self.queue is not None:
+                    if self.queue.closed:
                         return
-                    if stop is not None and stop.wait(self.poll_s):
-                        return
-                    if stop is None:
-                        time.sleep(self.poll_s)
+                    continue  # lease_wait already waited for work
+                if stop is not None and stop.wait(self.poll_s):
+                    return
+                if stop is None:
+                    time.sleep(self.poll_s)
         finally:
             self.close()
 

@@ -16,8 +16,6 @@ from repro.sim.session import (
     run_scenario,
     run_sweep,
 )
-from repro.sim.parallel import SweepCell, run_cell, run_cells
-from repro.sim.tracefile import load_traces, save_traces
 
 __all__ = [
     "CoreTrace",
@@ -34,9 +32,4 @@ __all__ = [
     "SweepTraceCache",
     "run_scenario",
     "run_sweep",
-    "SweepCell",
-    "run_cell",
-    "run_cells",
-    "load_traces",
-    "save_traces",
 ]

@@ -174,11 +174,11 @@ class Cluster3D:
         ``now``; ``victim`` is the dirty line the L1 fill evicted, or
         ``None``.
 
-        One flattened pass over the victim write-back and the blocking
-        L2 demand (the bodies of :meth:`_l1_victim_writeback` and
-        :meth:`_l2_demand`, which remain the documented reference
-        implementations) — this runs once per L1 miss of every
-        simulation.
+        First the dirty victim's posted write into L2 (forwarded to
+        DRAM when L2 has meanwhile evicted the line; no refill, no
+        Miss-bus slot, no stall), then the blocking L2 demand read with
+        its DRAM refill on a miss — one flattened pass, since this runs
+        once per L1 miss of every simulation.
         """
         ic_access = self._ic_access
         dram_access = self._dram_access
@@ -202,38 +202,6 @@ class Cluster3D:
             # Dirty L2 victim: posted write to DRAM off the critical path.
             dram_access(demand.writeback, t, True)
         return l1_latency + latency
-
-    def _l1_victim_writeback(self, core: int, address: int, now: int) -> None:
-        """Posted write of a dirty L1 victim into L2 (or through to DRAM).
-
-        Fills at L1 are reads from L2, so dirtiness lives in L1 until
-        eviction; the victim write updates the L2 copy in place.  If L2
-        has meanwhile evicted the line, the write is forwarded to DRAM
-        as a posted write — no refill, no Miss-bus slot, no core stall.
-        """
-        hit, physical_bank = self.l2.absorb_writeback(address)
-        self.interconnect.access(core, physical_bank, now, is_write=True)
-        if not hit:
-            self.dram.access(address, now, is_write=True)
-
-    def _l2_demand(self, core: int, address: int, now: int) -> int:
-        """Blocking L2 read (line fill toward L1); DRAM refill on miss."""
-        result, physical_bank = self.l2.demand_read(address)
-        latency = self.interconnect.access(
-            core, physical_bank, now, is_write=False
-        )
-        if not result.hit:
-            # Line refill: round-robin Miss bus, then the controller.
-            miss_at = now + latency
-            grant = self.miss_bus.request(core, miss_at)
-            dram_latency = self.dram.access(address, grant, is_write=False)
-            latency = (
-                (grant - now) + dram_latency + self.miss_bus.transfer_cycles
-            )
-        if result.writeback is not None:
-            # Dirty L2 victim: posted write to DRAM off the critical path.
-            self.dram.access(result.writeback, now, is_write=True)
-        return latency
 
     # ------------------------------------------------------------------
     # Running workloads

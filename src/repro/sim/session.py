@@ -240,7 +240,7 @@ def run_sweep(
     reuse across cells sharing a workload); ``jobs=N`` ships pickled
     scenarios to N worker processes; ``jobs<0`` uses one worker per
     CPU.  ``pool`` supplies a live :class:`ProcessPoolExecutor` to use
-    instead (long-running callers — the service's batch executor —
+    instead (long-running callers — the service's queue consumer —
     amortize worker startup across many sweeps this way; it overrides
     ``jobs``).  Results are bit-identical across all modes.
 

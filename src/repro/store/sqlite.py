@@ -11,7 +11,7 @@ appends — which is exactly the executor's discipline: workers compute,
 the parent writes.
 
 One instance is safe to share across threads, which is how the service
-frontend uses it (handler threads read, the batch executor writes):
+frontend uses it (handler threads read, the local worker writes):
 every thread reads through its own lazily opened connection, so WAL
 readers never block each other or the writer, while all writes go
 through one shared connection serialized by a lock.

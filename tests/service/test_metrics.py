@@ -57,12 +57,12 @@ class TestPrometheusExposition:
 
     def test_covers_every_layer_before_any_work(self, server):
         """One scrape of a fresh server already exposes the service,
-        executor, queue, worker, store and engine-phase families."""
+        queue, worker, store and engine-phase families."""
         _, text = scrape_text(server)
         for name in (
             "repro_service_request_seconds",
             "repro_service_inflight_requests",
-            "repro_executor_batch_size",
+            "repro_worker_batch_size",
             "repro_queue_depth",
             "repro_queue_wait_seconds",
             "repro_worker_compute_seconds",

@@ -298,19 +298,36 @@ class TestMalformedRequests:
         assert client.stats()["store"]["records"] == 0
 
 
+@pytest.fixture(params=["local", "remote"])
+def consumer(request):
+    """``(queue, make_worker)``: a SweepWorker over an in-process
+    WorkQueue, or over HTTP to a server with no local compute.  One
+    attempt per cell, so a failing cell fails at once."""
+    from repro.service import SweepWorker, WorkQueue
+    from repro.store import MemoryStore
+
+    if request.param == "local":
+        queue = WorkQueue(MemoryStore(), max_attempts=1)
+        yield queue, lambda **kwargs: SweepWorker(queue, **kwargs)
+        queue.shutdown()
+        return
+    with ScenarioServer(
+        MemoryStore(), port=0, local_compute=False, max_attempts=1
+    ) as srv:
+        srv.start()
+        yield srv.queue, lambda **kwargs: SweepWorker(srv.url, **kwargs)
+
+
 class TestBatchIsolation:
     def test_failing_cell_does_not_poison_co_batched_requests(
-        self, tmp_path, monkeypatch
+        self, consumer, monkeypatch
     ):
-        """A cell whose simulation raises fails only its own future;
-        co-batched cells still compute and persist."""
-        from repro.service import BatchingExecutor
-        from repro.store import MemoryStore
-
+        """A cell whose simulation raises fails alone; its co-batched
+        cells still compute and persist."""
+        queue, make_worker = consumer
         original = session.run_scenario
 
         def flaky_run(scenario, *args, **kwargs):
-            time.sleep(0.2)  # hold batch 1 open while 2 and 3 queue up
             if scenario.seed == 666:
                 raise RuntimeError("engine exploded")
             return original(scenario, *args, **kwargs)
@@ -318,38 +335,34 @@ class TestBatchIsolation:
         monkeypatch.setattr(session, "run_scenario", flaky_run)
         good = Scenario(workload="fft", scale=SCALE)
         bad = Scenario(workload="fft", scale=SCALE, seed=666)
-        store = MemoryStore()
-        with BatchingExecutor(store) as executor:
-            first = executor.submit(Scenario(workload="volrend", scale=SCALE))
-            time.sleep(0.05)  # batch thread is now busy with `first`
-            good_future = executor.submit(good)
-            bad_future = executor.submit(bad)
-            assert first.result(timeout=120) is not None
-            assert good_future.result(timeout=120) == original(good)
-            with pytest.raises(RuntimeError, match="engine exploded"):
-                bad_future.result(timeout=120)
-        assert store.load(good) is not None  # the survivor was persisted
-        assert store.load(bad) is None       # the failure was not cached
-
+        first = Scenario(workload="volrend", scale=SCALE)
+        futures = [queue.submit_scenario(s) for s in (first, good, bad)]
+        with make_worker(lease_n=3) as worker:
+            assert worker.step() == 3  # one batch: its run_sweep raises
+        assert futures[0].result(timeout=120) == original(first)
+        assert futures[1].result(timeout=120) == original(good)
+        with pytest.raises(RuntimeError, match="engine exploded"):
+            futures[2].result(timeout=120)
+        assert (worker.batches, worker.completed, worker.failed) == (1, 2, 1)
+        assert queue.store.load(good) is not None  # the survivor persisted
+        assert queue.store.load(bad) is None       # the failure was not cached
 
     def test_negative_jobs_resolve_to_cpu_count(self):
         import os
 
-        from repro.service import BatchingExecutor
+        from repro.service import SweepWorker, WorkQueue
         from repro.store import MemoryStore
 
-        with BatchingExecutor(MemoryStore(), jobs=-1) as executor:
-            assert executor.jobs == (os.cpu_count() or 1)
+        with SweepWorker(WorkQueue(MemoryStore()), jobs=-1) as worker:
+            assert worker.jobs == (os.cpu_count() or 1)
 
-    def test_broken_worker_pool_is_rebuilt(self, monkeypatch):
-        """A crashed worker poisons the whole ProcessPoolExecutor; the
-        executor must rebuild it instead of silently degrading every
-        later batch to the serial fallback."""
+    def test_broken_worker_pool_is_rebuilt(self, consumer, monkeypatch):
+        """A crashed pool process poisons the whole ProcessPoolExecutor;
+        the worker must rebuild it instead of silently degrading every
+        later batch to the fallback, and the batch's cells still land."""
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.service import BatchingExecutor
-        from repro.store import MemoryStore
-
+        queue, make_worker = consumer
         real_run_sweep = session.run_sweep
         calls = []
 
@@ -360,12 +373,20 @@ class TestBatchIsolation:
             return real_run_sweep(scenarios, store=store)
 
         monkeypatch.setattr(session, "run_sweep", flaky_run_sweep)
-        with BatchingExecutor(MemoryStore(), jobs=2) as executor:
-            broken_pool = executor._pool
-            future = executor.submit(Scenario(workload="volrend", scale=SCALE))
-            assert future.result(timeout=120) is not None
-            assert executor._pool is not None
-            assert executor._pool is not broken_pool
+        scenarios = [
+            Scenario(workload="volrend", scale=SCALE, seed=seed)
+            for seed in (1, 2)
+        ]
+        futures = [queue.submit_scenario(s) for s in scenarios]
+        with make_worker(jobs=2, lease_n=2) as worker:
+            broken_pool = worker._pool
+            assert broken_pool is not None and calls == []
+            assert worker.step() == 2
+            assert worker._pool is not None
+            assert worker._pool is not broken_pool
+        for scenario, future in zip(scenarios, futures):
+            assert future.result(timeout=120) == run_scenario(scenario)
+        assert (worker.completed, worker.failed) == (2, 0)
 
 
 class TestKeepAlive:

@@ -84,12 +84,6 @@ class TestSubpackageSurfaces:
         for name in ("PowerStateGovernor", "MoTAreaModel", "render_fabric"):
             assert hasattr(mot, name)
 
-    def test_sim_exports_persistence(self):
-        from repro import sim
-
-        assert hasattr(sim, "save_traces")
-        assert hasattr(sim, "load_traces")
-
     def test_analysis_exports_sweeps(self):
         from repro import analysis
 
