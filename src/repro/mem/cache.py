@@ -289,9 +289,9 @@ class SetAssociativeCache:
                 self._lru_stack(index)
         writeback = evicted = None
         if len(cache_set) < self.associativity:
-            way = next(
-                w for w in range(self.associativity) if w not in cache_set
-            )
+            for way in range(self.associativity):  # the lowest free way
+                if way not in cache_set:
+                    break
             line = CacheLine(address=line_addr, dirty=is_write)
             cache_set[way] = line
         else:
@@ -320,6 +320,76 @@ class SetAssociativeCache:
         self._last_line = line_addr
         self._last_obj = line
         return AccessResult(hit=False, writeback=writeback, evicted=evicted)
+
+    def read_allocate(self, address: int) -> Tuple[bool, Optional[int]]:
+        """A read that fills on a miss: ``(hit, dirty_victim)``.
+
+        The same transitions of the same per-set structures, and the
+        same counters, as ``access(address)``, returned as plain values
+        (no :class:`AccessResult`: a shared L2 bank's reads mostly
+        miss).  It skips the MRU filter, which a shared bank rarely
+        hits, and empties it, so a later :meth:`access` cannot take a
+        stale shortcut.  The caller has checked ``address``.  LRU only:
+        other policies take :meth:`access`.
+        """
+        stacks = self._lru_stacks
+        if stacks is None:
+            result = self.access(address)
+            return result.hit, result.writeback
+        self._last_line = None
+        stats = self.stats
+        stats.reads += 1
+        line_addr = address & self._line_mask
+        if self._pow2_stride:
+            index = (address >> self._set_shift) & self._set_mask
+        else:
+            index = (
+                (address // self.line_bytes) // self.index_stride_lines
+            ) % self.n_sets
+        tags = self._tags[index]
+        way = tags.get(line_addr)
+        if way is not None:
+            stack = stacks[index]
+            if stack[-1] != way:
+                stack.remove(way)
+                stack.append(way)
+            stats.read_hits += 1
+            return True, None
+
+        cache_set = self._sets[index]
+        associativity = self.associativity
+        if cache_set is _UNFILLED:
+            # First fill: the set's own containers, the line in way 0.
+            self._sets[index] = {0: CacheLine(line_addr)}
+            self._tags[index] = {line_addr: 0}
+            stack = stacks[index]
+            if stack is None:
+                stacks[index] = [*range(1, associativity), 0]
+            else:
+                stack.remove(0)
+                stack.append(0)
+            return False, None
+        writeback = None
+        if len(cache_set) < associativity:
+            for way in range(associativity):  # the lowest free way
+                if way not in cache_set:
+                    break
+            cache_set[way] = CacheLine(line_addr)
+        else:
+            way = stacks[index][0]
+            victim = cache_set[way]
+            del tags[victim.address]
+            stats.evictions += 1
+            if victim.dirty:
+                writeback = victim.address
+                stats.writebacks += 1
+            victim.address = line_addr  # recycled for the fill
+            victim.dirty = False
+        tags[line_addr] = way
+        stack = stacks[index]
+        stack.remove(way)
+        stack.append(way)
+        return False, writeback
 
     def write_no_allocate(self, address: int) -> bool:
         """Update-in-place write: dirty the line if resident, else miss.

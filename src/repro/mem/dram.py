@@ -168,28 +168,37 @@ class DRAMModel:
             raise ConfigurationError("time must be non-negative")
         if address < 0:
             raise ConfigurationError(f"negative address {address}")
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
+        return self.serve(address, now_cycle, is_write)
 
-        start = max(now_cycle, self._busy_until)
+    def serve(self, address: int, now_cycle: int, is_write: bool) -> int:
+        """:meth:`access` without its argument checks, for a caller whose
+        address and time are already known valid (the cluster's miss
+        path, whose addresses come from its caches)."""
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+
+        start = self._busy_until
+        if start < now_cycle:
+            start = now_cycle
         queue_wait = start - now_cycle
 
         device = self._device_cycles
         if self.page_policy == "open":
-            page = self.page_of(address)
+            page = address // self.PAGE_BYTES
             if page == self._open_page:
                 device = int(device * self.timings.page_hit_fraction)
-                self.stats.page_hits += 1
+                stats.page_hits += 1
             else:
-                self.stats.page_misses += 1
+                stats.page_misses += 1
             self._open_page = page
         else:
-            self.stats.page_misses += 1
+            stats.page_misses += 1
 
         self._busy_until = start + self.service_cycles
-        self.stats.busy_cycles += self.service_cycles
+        stats.busy_cycles += self.service_cycles
         return queue_wait + device
 
 
@@ -237,6 +246,31 @@ class MissBus:
             self.stats.conflicts += 1
         self._record_grant(core, now_cycle, grant)
         return grant
+
+    def refill(
+        self, core: int, address: int, now_cycle: int, dram: DRAMModel
+    ) -> int:
+        """One demand line refill: the bus grant, then ``dram``'s read.
+
+        The same state and counters as :meth:`request` at ``now_cycle``
+        followed by ``dram.access(address, grant)``, in one call and
+        without their argument checks (the cluster's miss path has
+        checked the address; its cores and times are valid).  Returns
+        the cycles from ``now_cycle`` until the line has crossed the
+        bus.
+        """
+        stats = self.stats
+        grant = self._busy_until
+        if grant > now_cycle:
+            stats.conflicts += 1
+        else:
+            grant = now_cycle
+        stats.transfers += 1
+        stats.queued_cycles += grant - now_cycle
+        self._last_granted = core
+        transfer = self.transfer_cycles
+        self._busy_until = grant + transfer
+        return grant - now_cycle + dram.serve(address, grant, False) + transfer
 
     def request_batch(self, cores: List[int], now_cycle: int) -> Dict[int, int]:
         """Grant simultaneous requests in round-robin order.

@@ -101,6 +101,7 @@ class BankedL2:
         self._bank_shift = config.line_bytes.bit_length() - 1
         self._bank_mask = config.n_banks - 1
         self._bank_access_fns = [bank.access for bank in self.banks]
+        self._bank_read_fns = [bank.read_allocate for bank in self.banks]
         self._bank_writeback_fns = [bank.write_no_allocate for bank in self.banks]
         self._remap_flat: List[int] = []
         self._rebuild_remap()
@@ -146,17 +147,20 @@ class BankedL2:
         )
 
     def demand_read(self, address: int):
-        """Blocking-read fast path: ``(AccessResult, physical_bank)``.
+        """Blocking-read fast path: ``((hit, dirty_victim), physical_bank)``.
 
-        Same state transitions as ``access(address, is_write=False)``
+        Same state transitions and counters as ``access(address,
+        is_write=False)``, through the bank's
+        :meth:`~repro.mem.cache.SetAssociativeCache.read_allocate` and
         without building an :class:`L2AccessOutcome`; the simulator's
-        miss path calls this once per L1 demand miss.
+        miss path calls this once per L1 demand miss, and this is the
+        one place that path checks the address.
         """
         if address < 0:
             raise ConfigurationError(f"negative address {address}")
         physical = self._remap_flat[(address >> self._bank_shift) & self._bank_mask]
         self.bank_accesses[physical] += 1
-        return self._bank_access_fns[physical](address, False), physical
+        return self._bank_read_fns[physical](address), physical
 
     def writeback(self, address: int) -> L2AccessOutcome:
         """Absorb an L1 victim write-back (no allocate on miss).

@@ -25,13 +25,20 @@ zero-load latencies, per-access energies — is precomputed into a
 ``(core, bank)`` table the first time a pair is used and reused until
 :meth:`Interconnect.invalidate_tables` (called on power-state changes).
 Only the contention reservations stay dynamic on top of the tables.
+The packet-switched baselines (:class:`PacketInterconnect`) have no
+power states: their entries depend on frozen parameters alone, so they
+are built once per parameter set and shared by every instance, and
+name links, pillars and buses by small integers that index each
+instance's own flat reservation lists.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from types import MappingProxyType
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass(slots=True)
@@ -167,19 +174,14 @@ class ReservationTable:
 
     ``claim(key, ready, hold)`` returns the cycle the resource becomes
     available to this request (>= ready) and reserves it for ``hold``
-    cycles from that point.  ``busy_map`` exposes the underlying dict
-    for hot loops that inline the claim.
+    cycles from that point.  (The fabrics' ``access`` paths keep flat
+    busy-until lists instead; this table serves the reference models.)
     """
 
     __slots__ = ("_busy_until",)
 
     def __init__(self) -> None:
         self._busy_until: Dict[object, int] = {}
-
-    @property
-    def busy_map(self) -> Dict[object, int]:
-        """The key -> busy-until dict (for inlined claims)."""
-        return self._busy_until
 
     def claim(self, key: object, ready_cycle: int, hold_cycles: int) -> int:
         """Acquire ``key`` at the earliest cycle >= ``ready_cycle``."""
@@ -196,3 +198,79 @@ class ReservationTable:
     def clear(self) -> None:
         """Release everything (between experiment phases)."""
         self._busy_until.clear()
+
+
+@functools.lru_cache(maxsize=16)
+def _static_routes(cls, *params) -> Mapping[Tuple[int, int], tuple]:
+    """Every ``(core, bank)`` route entry of fabric ``cls`` built from
+    the frozen ``params`` (``cls(*params)`` builds the fabric).
+
+    Pure: the entries are frozen and hold only numbers and tuples of
+    numbers (link, pillar and bus *indices*, never per-instance
+    objects), so one read-only table serves every instance with equal
+    parameters.
+    """
+    proto = cls(*params)
+    geometry = proto.geometry
+    return MappingProxyType({
+        (core, bank): proto._build_route_entry(core, bank)
+        for core in range(geometry.n_cores)
+        for bank in range(geometry.n_banks)
+    })
+
+
+class PacketInterconnect(Interconnect):
+    """Common frame of the packet-switched baselines.
+
+    The five parameters are frozen dataclasses and fully determine the
+    static route entries (the fabrics have no power states), so those
+    come from one table per parameter set (:func:`_static_routes`);
+    ``_route_table`` holds the pairs this instance has used.  Contention
+    is per instance: ``_link_busy`` (indexed by the integer link ids
+    the entries carry) and ``_port_busy`` (by bank) are busy-until
+    lists.  ``_links``/``_bank_ports`` belong to the contended reference
+    model, ``_access_cycles(..., contended=True)``, which walks the
+    topology afresh per request; drive one instance through one of the
+    two.
+    """
+
+    def __init__(self, geometry, timing, packet, power, tsv, n_links: int) -> None:
+        super().__init__()
+        self.geometry = geometry
+        self.timing = timing
+        self.packet = packet
+        self.power = power
+        self.tsv = tsv
+        self._n_links = n_links
+        self._static: Optional[Mapping[Tuple[int, int], tuple]] = None
+        self._clear_reservations()
+
+    def _route_entry(self, core: int, bank: int) -> tuple:
+        """The pair's shared entry (out-of-range pairs raise in the
+        builder)."""
+        key = (core, bank)
+        entry = self._route_table.get(key)
+        if entry is None:
+            if self._static is None:
+                self._static = _static_routes(
+                    type(self), self.geometry, self.timing, self.packet,
+                    self.power, self.tsv,
+                )
+            entry = self._static.get(key) or self._build_route_entry(core, bank)
+            self._route_table[key] = entry
+        return entry
+
+    def access_energy_j(self, core: int, bank: int, is_write: bool = False) -> float:
+        """Per-route dynamic energy (precomputed surface)."""
+        route = self._route_entry(core, bank)
+        return route.write_energy if is_write else route.read_energy
+
+    def _clear_reservations(self) -> None:
+        self._link_busy: List[int] = [0] * self._n_links
+        self._port_busy: List[int] = [0] * self.geometry.n_banks
+        self._links = ReservationTable()
+        self._bank_ports = ReservationTable()
+
+    def reset_contention(self) -> None:
+        """Clear reservations (between experiment phases)."""
+        self._clear_reservations()

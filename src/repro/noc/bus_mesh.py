@@ -19,9 +19,9 @@ original design's per-layer networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.noc.base import Interconnect, ReservationTable
+from repro.noc.base import PacketInterconnect
 from repro.noc.mesh3d import MeshGeometry, Node
 from repro.noc.packet import PacketFormat, DEFAULT_PACKET_FORMAT
 from repro.noc.router import RouterTiming, DEFAULT_ROUTER_TIMING
@@ -36,13 +36,14 @@ from repro.phys.tsv import TSVModel, DEFAULT_TSV
 @dataclass(frozen=True, slots=True)
 class _BusMeshRoute:
     """Precomputed static data of one (core, bank) pair: in-tier
-    routes with per-hop delays, the two pillars, and energies.  Only
-    link/bank/pillar reservations stay dynamic."""
+    routes as (link id, delay after grant), the indices of the two
+    pillars, and energies.  Only link/bank/pillar reservations stay
+    dynamic."""
 
-    req_hops: Tuple[Tuple[object, int], ...]
-    resp_hops: Tuple[Tuple[object, int], ...]
-    up_pillar: VerticalBus
-    down_pillar: VerticalBus
+    req_hops: Tuple[Tuple[int, int], ...]
+    resp_hops: Tuple[Tuple[int, int], ...]
+    up_pillar: int
+    down_pillar: int
     vert_cycles: int
     read_flits: int
     write_flits: int
@@ -54,7 +55,7 @@ class _BusMeshRoute:
     write_energy: float
 
 
-class HybridBusMesh(Interconnect):
+class HybridBusMesh(PacketInterconnect):
     """2-D mesh + per-tile vertical pillar buses."""
 
     name = "3-D Hybrid Bus-Mesh"
@@ -67,21 +68,22 @@ class HybridBusMesh(Interconnect):
         power: InterconnectPowerModel = DEFAULT_INTERCONNECT_POWER,
         tsv: TSVModel = DEFAULT_TSV,
     ) -> None:
-        super().__init__()
-        self.geometry = geometry
-        self.timing = timing
-        self.packet = packet
-        self.power = power
-        self.tsv = tsv
-        self._links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._links.busy_map
-        self._ports_busy = self._bank_ports.busy_map
-        #: One pillar per tile location.
+        # In-tier links only, but ids span the mesh's node pairs.
+        super().__init__(
+            geometry, timing, packet, power, tsv, n_links=geometry.n_nodes ** 2
+        )
+        side = geometry.side
+        #: One pillar per tile location; routes name a pillar by its
+        #: index ``x + side * y`` into ``_pillar_list``.
+        self._pillar_list = [
+            VerticalBus(f"pillar({x},{y})")
+            for y in range(side)
+            for x in range(side)
+        ]
         self.pillars: Dict[Tuple[int, int], VerticalBus] = {
-            (x, y): VerticalBus(f"pillar({x},{y})")
-            for x in range(geometry.side)
-            for y in range(geometry.side)
+            (x, y): self._pillar_list[x + side * y]
+            for x in range(side)
+            for y in range(side)
         }
 
     # ------------------------------------------------------------------
@@ -159,11 +161,13 @@ class HybridBusMesh(Interconnect):
     # ------------------------------------------------------------------
     # Precomputed route table
     # ------------------------------------------------------------------
-    def _hop_delays(self, src: Node, dst: Node) -> Tuple[Tuple[object, int], ...]:
-        """In-tier route links paired with their post-grant delay."""
+    def _hop_delays(self, src: Node, dst: Node) -> Tuple[Tuple[int, int], ...]:
+        """In-tier route link ids paired with their post-grant delay."""
         delay = self.timing.link_cycles + self.timing.pipeline_cycles
+        geometry = self.geometry
         return tuple(
-            (link, delay) for link, _v in self.geometry.xyz_links(src, dst)
+            (geometry.link_index(link), delay)
+            for link, _v in geometry.xyz_links(src, dst)
         )
 
     def _build_route_entry(self, core: int, bank: int) -> _BusMeshRoute:
@@ -176,8 +180,8 @@ class HybridBusMesh(Interconnect):
         return _BusMeshRoute(
             req_hops=self._hop_delays((cx, cy, 0), (bx, by, 0)),
             resp_hops=self._hop_delays((bx, by, btier), (cx, cy, btier)),
-            up_pillar=self.pillars[(bx, by)],
-            down_pillar=self.pillars[(cx, cy)],
+            up_pillar=bx + self.geometry.side * by,
+            down_pillar=cx + self.geometry.side * cy,
             vert_cycles=btier * self.timing.vertical_link_cycles,
             read_flits=read_flits,
             write_flits=write_flits,
@@ -195,50 +199,54 @@ class HybridBusMesh(Interconnect):
     def access(
         self, core: int, bank: int, now_cycle: int, is_write: bool = False
     ) -> int:
-        route = self._route_entry(core, bank)
+        route = self._route_table.get((core, bank)) or self._route_entry(
+            core, bank
+        )
         if is_write:
             flits, ser = route.write_flits, route.write_ser
         else:
             flits, ser = route.read_flits, route.read_ser
-        pipeline = self.timing.pipeline_cycles
-        busy = self._links_busy
+        timing = self.timing
+        pipeline = timing.pipeline_cycles
+        busy = self._link_busy
+        pillars = self._pillar_list
         queued = 0
 
         # Request: XY on the core tier, then up the bank tile's pillar.
         t = now_cycle + pipeline
         for link, delay in route.req_hops:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + flits
             queued += start - t
             t = start + delay
         tail = t + ser
-        start = route.up_pillar.transfer(core, tail, flits)
+        start = pillars[route.up_pillar].transfer(core, tail, flits)
         queued += start - tail
         t = start + route.vert_cycles
 
-        ports = self._ports_busy
-        start = ports.get(bank, 0)
+        ports = self._port_busy
+        start = ports[bank]
         if start < t:
             start = t
-        ports[bank] = start + self.timing.bank_cycles
+        ports[bank] = start + timing.bank_cycles
         queued += start - t
-        t = start + self.timing.bank_cycles
+        t = start + timing.bank_cycles
 
         # Response: XY on the bank's tier, then down the core tile's
         # pillar (per-layer meshes of the network-in-memory design).
         resp_flits = route.resp_flits
         t += pipeline
         for link, delay in route.resp_hops:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + resp_flits
             queued += start - t
             t = start + delay
         back_tail = t + route.resp_ser
-        start = route.down_pillar.transfer(core, back_tail, resp_flits)
+        start = pillars[route.down_pillar].transfer(core, back_tail, resp_flits)
         queued += start - back_tail
         completion = start + route.vert_cycles
 
@@ -255,11 +263,6 @@ class HybridBusMesh(Interconnect):
             core, bank, 0, is_write=False, contended=False
         )
         return completion
-
-    def access_energy_j(self, core: int, bank: int, is_write: bool = False) -> float:
-        """Per-route dynamic energy (precomputed surface)."""
-        route = self._route_entry(core, bank)
-        return route.write_energy if is_write else route.read_energy
 
     # ------------------------------------------------------------------
     def _access_energy(self, core: int, bank: int, is_write: bool) -> float:
@@ -294,10 +297,7 @@ class HybridBusMesh(Interconnect):
         return self.power.noc_leakage(n_routers, total_wire, self.packet.flit_bits)
 
     def reset_contention(self) -> None:
-        """Clear reservations (between experiment phases)."""
-        self._links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._links.busy_map
-        self._ports_busy = self._bank_ports.busy_map
-        for pillar in self.pillars.values():
+        """Clear reservations and pillars (between experiment phases)."""
+        super().reset_contention()
+        for pillar in self._pillar_list:
             pillar.reset()

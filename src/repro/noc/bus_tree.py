@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.noc.base import Interconnect, ReservationTable
+from repro.noc.base import PacketInterconnect
 from repro.noc.mesh3d import MeshGeometry
 from repro.noc.packet import PacketFormat, DEFAULT_PACKET_FORMAT
 from repro.noc.router import RouterTiming, DEFAULT_ROUTER_TIMING
@@ -32,12 +32,12 @@ from repro.phys.tsv import TSVModel, DEFAULT_TSV
 @dataclass(frozen=True, slots=True)
 class _BusTreeRoute:
     """Precomputed static data of one (core, bank) pair: tree link
-    keys, the quadrant bus, vertical crossing time and energies.  Only
-    link/bank/bus reservations stay dynamic."""
+    ids, the quadrant bus's index, vertical crossing time and
+    energies.  Only link/bank/bus reservations stay dynamic."""
 
-    up_links: Tuple[tuple, ...]
-    down_links: Tuple[tuple, ...]
-    bus: VerticalBus
+    up_links: Tuple[int, ...]
+    down_links: Tuple[int, ...]
+    bus: int
     vert_cycles: int
     read_flits: int
     write_flits: int
@@ -49,8 +49,13 @@ class _BusTreeRoute:
     write_energy: float
 
 
-class HybridBusTree(Interconnect):
-    """Quadrant-hub tree + root + four shared vertical buses."""
+class HybridBusTree(PacketInterconnect):
+    """Quadrant-hub tree + root + four shared vertical buses.
+
+    Tree link ids (the reservation list's layout): core ``c``'s link to
+    its hub is ``c``; then hub ``q`` -> root, root -> hub ``q``, and
+    last hub -> core ``c`` (see :meth:`_link_ids`).
+    """
 
     name = "3-D Hybrid Bus-Tree"
 
@@ -65,16 +70,10 @@ class HybridBusTree(Interconnect):
         power: InterconnectPowerModel = DEFAULT_INTERCONNECT_POWER,
         tsv: TSVModel = DEFAULT_TSV,
     ) -> None:
-        super().__init__()
-        self.geometry = geometry
-        self.timing = timing
-        self.packet = packet
-        self.power = power
-        self.tsv = tsv
-        self._tree_links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._tree_links.busy_map
-        self._ports_busy = self._bank_ports.busy_map
+        super().__init__(
+            geometry, timing, packet, power, tsv,
+            n_links=2 * (geometry.n_cores + self.N_QUADRANTS),
+        )
         # Multi-drop buses (8 banks x 2 tiers each) pay turnaround.
         self.buses: Dict[int, VerticalBus] = {
             q: VerticalBus(f"quadrant-bus{q}", turnaround_cycles=2)
@@ -100,6 +99,16 @@ class HybridBusTree(Interconnect):
         """Tier crossings between the core tier and ``bank``."""
         return self.geometry.bank_node(bank)[2]
 
+    def _link_ids(self, core: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Ids of ``core``'s (core->hub, hub->root) and (root->hub,
+        hub->core) links."""
+        n_cores, quadrants = self.geometry.n_cores, self.N_QUADRANTS
+        quadrant = self.core_quadrant(core)
+        return (
+            (core, n_cores + quadrant),
+            (n_cores + quadrants + quadrant, n_cores + 2 * quadrants + core),
+        )
+
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
@@ -112,7 +121,7 @@ class HybridBusTree(Interconnect):
         queued = 0
         for link in (("core", core, "hub", quadrant), ("hub", quadrant, "root")):
             if contended:
-                granted = self._tree_links.claim(link, t, flits)
+                granted = self._links.claim(link, t, flits)
                 queued += granted - t
                 t = granted
             t += self.timing.link_cycles + self.timing.pipeline_cycles
@@ -127,7 +136,7 @@ class HybridBusTree(Interconnect):
         queued = 0
         for link in (("root", "hub", quadrant), ("hub", quadrant, "core", core)):
             if contended:
-                granted = self._tree_links.claim(link, t, flits)
+                granted = self._links.claim(link, t, flits)
                 queued += granted - t
                 t = granted
             t += self.timing.link_cycles + self.timing.pipeline_cycles
@@ -174,21 +183,15 @@ class HybridBusTree(Interconnect):
     # Precomputed route table
     # ------------------------------------------------------------------
     def _build_route_entry(self, core: int, bank: int) -> _BusTreeRoute:
-        quadrant = self.core_quadrant(core)
+        up_links, down_links = self._link_ids(core)
         packet = self.packet
         read_flits = packet.request_flits
         write_flits = packet.write_request_flits()
         resp_flits = packet.response_flits
         return _BusTreeRoute(
-            up_links=(
-                ("core", core, "hub", quadrant),
-                ("hub", quadrant, "root"),
-            ),
-            down_links=(
-                ("root", "hub", quadrant),
-                ("hub", quadrant, "core", core),
-            ),
-            bus=self.buses[self.bank_quadrant(bank)],
+            up_links=up_links,
+            down_links=down_links,
+            bus=self.bank_quadrant(bank),
             vert_cycles=self._bus_hops(bank) * self.timing.vertical_link_cycles,
             read_flits=read_flits,
             write_flits=write_flits,
@@ -206,44 +209,48 @@ class HybridBusTree(Interconnect):
     def access(
         self, core: int, bank: int, now_cycle: int, is_write: bool = False
     ) -> int:
-        route = self._route_entry(core, bank)
+        route = self._route_table.get((core, bank)) or self._route_entry(
+            core, bank
+        )
         if is_write:
             flits, ser = route.write_flits, route.write_ser
         else:
             flits, ser = route.read_flits, route.read_ser
-        hop_delay = self.timing.link_cycles + self.timing.pipeline_cycles
-        busy = self._links_busy
+        timing = self.timing
+        hop_delay = timing.link_cycles + timing.pipeline_cycles
+        busy = self._link_busy
+        bus = self.buses[route.bus]
         queued = 0
 
         # Up the tree: NI/injection stage, core -> hub -> root.
-        t = now_cycle + self.timing.pipeline_cycles
+        t = now_cycle + timing.pipeline_cycles
         for link in route.up_links:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + flits
             queued += start - t
             t = start + hop_delay
         tail = t + ser
-        start = route.bus.transfer(core, tail, flits)
+        start = bus.transfer(core, tail, flits)
         queued += start - tail
         t = start + route.vert_cycles + flits
 
-        ports = self._ports_busy
-        start = ports.get(bank, 0)
+        ports = self._port_busy
+        start = ports[bank]
         if start < t:
             start = t
-        ports[bank] = start + self.timing.bank_cycles
+        ports[bank] = start + timing.bank_cycles
         queued += start - t
-        t = start + self.timing.bank_cycles
+        t = start + timing.bank_cycles
 
         # Back down: bus, then root -> hub -> core.
         resp_flits = route.resp_flits
-        start = route.bus.transfer(core, t, resp_flits)
+        start = bus.transfer(core, t, resp_flits)
         queued += start - t
         t = start + route.vert_cycles + resp_flits
         for link in route.down_links:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + resp_flits
@@ -264,11 +271,6 @@ class HybridBusTree(Interconnect):
             core, bank, 0, is_write=False, contended=False
         )
         return completion
-
-    def access_energy_j(self, core: int, bank: int, is_write: bool = False) -> float:
-        """Per-route dynamic energy (precomputed surface)."""
-        route = self._route_entry(core, bank)
-        return route.write_energy if is_write else route.read_energy
 
     # ------------------------------------------------------------------
     def _access_energy(self, core: int, bank: int, is_write: bool) -> float:
@@ -302,10 +304,7 @@ class HybridBusTree(Interconnect):
         return self.power.noc_leakage(n_routers, total_wire, self.packet.flit_bits)
 
     def reset_contention(self) -> None:
-        """Clear reservations (between experiment phases)."""
-        self._tree_links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._tree_links.busy_map
-        self._ports_busy = self._bank_ports.busy_map
+        """Clear reservations and buses (between experiment phases)."""
+        super().reset_contention()
         for bus in self.buses.values():
             bus.reset()

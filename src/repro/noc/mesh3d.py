@@ -4,7 +4,9 @@ The straightforward 3-D NoC the paper compares against first: a 4x4
 mesh of routers on the core tier and on each cache tier, with vertical
 router ports through TSVs at every tile.  Packets use dimension-ordered
 XYZ routing (deadlock-free), wormhole switching, and per-link wormhole
-reservations for contention.
+reservations for contention.  Nodes and directed links also have small
+integer ids (:meth:`MeshGeometry.link_index`), which is what the
+precomputed routes carry and the reservation lists are indexed by.
 
 Every L2 access is a round trip: request packet core->bank, bank
 access, response packet bank->core.
@@ -18,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro import units as u
 from repro.errors import ConfigurationError, RoutingError
-from repro.noc.base import Interconnect, ReservationTable
+from repro.noc.base import PacketInterconnect
 from repro.noc.packet import PacketFormat, DEFAULT_PACKET_FORMAT
 from repro.noc.router import RouterTiming, DEFAULT_ROUTER_TIMING
 from repro.phys.interconnect_power import (
@@ -71,6 +73,21 @@ class MeshGeometry:
         """Center-to-center distance of adjacent tiles."""
         return self.die_width_m / self.side
 
+    @property
+    def n_nodes(self) -> int:
+        """Router nodes over all tiers."""
+        return self.side * self.side * (1 + self.n_cache_tiers)
+
+    def node_index(self, node: Node) -> int:
+        """Integer id of ``node`` in ``range(n_nodes)``."""
+        x, y, z = node
+        return (z * self.side + y) * self.side + x
+
+    def link_index(self, link: Link) -> int:
+        """Integer id of a directed link in ``range(n_nodes ** 2)``."""
+        src, dst = link
+        return self.node_index(src) * self.n_nodes + self.node_index(dst)
+
     def core_node(self, core: int) -> Node:
         """Mesh node of ``core`` (tier 0)."""
         if not 0 <= core < self.n_cores:
@@ -116,8 +133,8 @@ class _MeshRoute:
     only the wormhole link/bank reservations stay dynamic.
     """
 
-    req_hops: Tuple[Tuple[Link, int], ...]  # (link, delay after grant)
-    resp_hops: Tuple[Tuple[Link, int], ...]
+    req_hops: Tuple[Tuple[int, int], ...]  # (link id, delay after grant)
+    resp_hops: Tuple[Tuple[int, int], ...]
     read_flits: int
     write_flits: int
     read_ser: int
@@ -129,7 +146,7 @@ class _MeshRoute:
     zero_load: int
 
 
-class True3DMesh(Interconnect):
+class True3DMesh(PacketInterconnect):
     """Packet-switched 3-D mesh with routers on all tiers."""
 
     name = "True 3-D Mesh"
@@ -142,16 +159,9 @@ class True3DMesh(Interconnect):
         power: InterconnectPowerModel = DEFAULT_INTERCONNECT_POWER,
         tsv: TSVModel = DEFAULT_TSV,
     ) -> None:
-        super().__init__()
-        self.geometry = geometry
-        self.timing = timing
-        self.packet = packet
-        self.power = power
-        self.tsv = tsv
-        self._links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._links.busy_map
-        self._ports_busy = self._bank_ports.busy_map
+        super().__init__(
+            geometry, timing, packet, power, tsv, n_links=geometry.n_nodes ** 2
+        )
 
     # ------------------------------------------------------------------
     # Timing
@@ -210,11 +220,11 @@ class True3DMesh(Interconnect):
     # ------------------------------------------------------------------
     # Precomputed route table
     # ------------------------------------------------------------------
-    def _hop_delays(self, links) -> Tuple[Tuple[Link, int], ...]:
-        """Pair each route link with its post-grant delay."""
+    def _hop_delays(self, links) -> Tuple[Tuple[int, int], ...]:
+        """Pair each route link's id with its post-grant delay."""
         return tuple(
             (
-                link,
+                self.geometry.link_index(link),
                 (
                     self.timing.vertical_link_cycles
                     if vertical
@@ -254,20 +264,23 @@ class True3DMesh(Interconnect):
     def access(
         self, core: int, bank: int, now_cycle: int, is_write: bool = False
     ) -> int:
-        route = self._route_entry(core, bank)
+        route = self._route_table.get((core, bank)) or self._route_entry(
+            core, bank
+        )
         if is_write:
             flits, ser = route.write_flits, route.write_ser
         else:
             flits, ser = route.read_flits, route.read_ser
-        pipeline = self.timing.pipeline_cycles
-        busy = self._links_busy
+        timing = self.timing
+        pipeline = timing.pipeline_cycles
+        busy = self._link_busy
         queued = 0
 
         # Request: source router, then per hop a wormhole link claim
         # (held for the serialization time) and the downstream router.
         t = now_cycle + pipeline
         for link, delay in route.req_hops:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + flits
@@ -275,19 +288,19 @@ class True3DMesh(Interconnect):
             t = start + delay
         # Tail of the request must arrive before the bank can respond.
         arrived = t + ser
-        ports = self._ports_busy
-        start = ports.get(bank, 0)
+        ports = self._port_busy
+        start = ports[bank]
         if start < arrived:
             start = arrived
-        ports[bank] = start + self.timing.bank_cycles
+        ports[bank] = start + timing.bank_cycles
         queued += start - arrived
-        t = start + self.timing.bank_cycles
+        t = start + timing.bank_cycles
 
         # Response traversal back to the core.
         resp_flits = route.resp_flits
         t += pipeline
         for link, delay in route.resp_hops:
-            start = busy.get(link, 0)
+            start = busy[link]
             if start < t:
                 start = t
             busy[link] = start + resp_flits
@@ -308,11 +321,6 @@ class True3DMesh(Interconnect):
             core, bank, 0, is_write=False, contended=False
         )
         return completion
-
-    def access_energy_j(self, core: int, bank: int, is_write: bool = False) -> float:
-        """Per-route dynamic energy (precomputed surface)."""
-        route = self._route_entry(core, bank)
-        return route.write_energy if is_write else route.read_energy
 
     # ------------------------------------------------------------------
     # Energy
@@ -351,10 +359,3 @@ class True3DMesh(Interconnect):
         return self.power.noc_leakage(
             n_routers, total_wire, self.packet.flit_bits
         )
-
-    def reset_contention(self) -> None:
-        """Clear reservations (between experiment phases)."""
-        self._links = ReservationTable()
-        self._bank_ports = ReservationTable()
-        self._links_busy = self._links.busy_map
-        self._ports_busy = self._bank_ports.busy_map

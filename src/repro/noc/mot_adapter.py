@@ -19,7 +19,7 @@ from repro.mot.fabric import MoTFabric
 from repro.mot.latency import MoTLatencyModel
 from repro.mot.power import MoTPowerModel
 from repro.mot.power_state import PowerState
-from repro.noc.base import Interconnect, ReservationTable
+from repro.noc.base import Interconnect
 from repro.phys.geometry import Floorplan3D
 
 
@@ -51,8 +51,8 @@ class MoTInterconnect(Interconnect):
             floorplan=self.floorplan,
         )
         self.bank_occupancy_cycles = bank_occupancy_cycles
-        self._bank_ports = ReservationTable()
-        self._bank_busy = self._bank_ports.busy_map
+        #: Busy-until cycle of each bank port.
+        self._bank_busy = [0] * state.total_banks
         self._fabric = MoTFabric(
             state.total_cores, state.total_banks, self.floorplan
         )
@@ -91,7 +91,7 @@ class MoTInterconnect(Interconnect):
         # Bank-port claim and stats inlined: this runs once per L2
         # access of every MoT simulation (the Fig 7/8 hot path).
         busy = self._bank_busy
-        start = busy.get(bank, 0)
+        start = busy[bank]
         if start < now_cycle:
             start = now_cycle
         busy[bank] = start + self.bank_occupancy_cycles
@@ -118,8 +118,7 @@ class MoTInterconnect(Interconnect):
 
     def reset_contention(self) -> None:
         """Clear bank-port reservations (between experiment phases)."""
-        self._bank_ports = ReservationTable()
-        self._bank_busy = self._bank_ports.busy_map
+        self._bank_busy = [0] * len(self._bank_busy)
 
     @property
     def fabric(self) -> MoTFabric:

@@ -71,9 +71,12 @@ class VerticalBus:
         """
         if now_cycle < 0 or hold_cycles < 1:
             raise ConfigurationError("bad transfer timing")
-        start = max(now_cycle, self._busy_until)
-        self.stats.transfers += 1
-        self.stats.queued_cycles += start - now_cycle
+        start = self._busy_until
+        if start < now_cycle:
+            start = now_cycle
+        stats = self.stats
+        stats.transfers += 1
+        stats.queued_cycles += start - now_cycle
         self._busy_until = start + hold_cycles + self.turnaround_cycles
         self._last_granted = requester
         return start

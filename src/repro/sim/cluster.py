@@ -70,7 +70,12 @@ class Cluster3D:
         self.power_state = power_state
         self.frequency_hz = frequency_hz
         self.interconnect = interconnect or MoTInterconnect(state=power_state)
-        if isinstance(self.interconnect, MoTInterconnect):
+        if (
+            isinstance(self.interconnect, MoTInterconnect)
+            and self.interconnect.power_state != power_state
+        ):
+            # A MoT built for this very state (the usual case) is left
+            # as it is: applying a state reconfigures the whole fabric.
             self.interconnect.set_power_state(power_state)
 
         plan = plan_reconfiguration(power_state)
@@ -95,8 +100,8 @@ class Cluster3D:
         self._l2_demand_read = self.l2.demand_read
         self._l2_absorb_writeback = self.l2.absorb_writeback
         self._ic_access = self.interconnect.access
-        self._dram_access = self.dram.access
-        self._miss_bus_request = self.miss_bus.request
+        self._dram_serve = self.dram.serve
+        self._refill = self.miss_bus.refill
         #: The ClusterConfig this instance was built from (set by
         #: :meth:`from_config`; ``None`` for loose-pieces construction).
         self.config = None
@@ -178,29 +183,27 @@ class Cluster3D:
         DRAM when L2 has meanwhile evicted the line; no refill, no
         Miss-bus slot, no stall), then the blocking L2 demand read with
         its DRAM refill on a miss — one flattened pass, since this runs
-        once per L1 miss of every simulation.
+        once per L1 miss of every simulation.  The L2 calls check each
+        address once; DRAM is then served unchecked.
         """
         ic_access = self._ic_access
-        dram_access = self._dram_access
         if victim is not None:
             # Dirty L1 victim drains to L2 through a write buffer: bank
             # occupancy and energy are charged, the core is not stalled.
             hit, physical_bank = self._l2_absorb_writeback(victim)
             ic_access(core, physical_bank, now, True)
             if not hit:
-                dram_access(victim, now, True)
+                self._dram_serve(victim, now, True)
         l1_latency = self.l1_hit_latency_cycles
         t = now + l1_latency
-        demand, physical_bank = self._l2_demand_read(address)
+        (hit, writeback), physical_bank = self._l2_demand_read(address)
         latency = ic_access(core, physical_bank, t, False)
-        if not demand.hit:
+        if not hit:
             # Line refill: round-robin Miss bus, then the controller.
-            grant = self._miss_bus_request(core, t + latency)
-            dram_latency = dram_access(address, grant, False)
-            latency = (grant - t) + dram_latency + self.miss_bus.transfer_cycles
-        if demand.writeback is not None:
+            latency += self._refill(core, address, t + latency, self.dram)
+        if writeback is not None:
             # Dirty L2 victim: posted write to DRAM off the critical path.
-            dram_access(demand.writeback, t, True)
+            self._dram_serve(writeback, t, True)
         return l1_latency + latency
 
     # ------------------------------------------------------------------

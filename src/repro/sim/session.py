@@ -15,7 +15,9 @@ and parallel paths are bit-identical.  The serial path additionally
 runs each core's private-L1 pass once and replays the resulting miss
 streams across cells that share ``(workload, scale, seed, active
 cores, L1 config)`` — a core's L1 behaviour depends on nothing else,
-so the replay is exactly equivalent to redoing it.
+so the replay is exactly equivalent to redoing it.  It runs the cells
+grouped by that key, so each group's pass runs once however the cells
+are ordered, and returns them in cell order.
 
 The same determinism makes results perfectly cacheable: both functions
 accept ``store=`` (any :class:`repro.store.ResultStore`), serve
@@ -163,6 +165,17 @@ def run_scenario(
     return result
 
 
+def _stream_key(scenario: "Scenario") -> Tuple:
+    """What a cell's miss streams depend on (see :class:`SweepTraceCache`)."""
+    return (
+        scenario.workload,
+        scenario.scale,
+        scenario.seed,
+        scenario.active_cores(),
+        scenario.config.l1,
+    )
+
+
 class SweepTraceCache:
     """Per-core miss streams, replayable across sweep cells.
 
@@ -177,10 +190,9 @@ class SweepTraceCache:
     streams are checked against.
 
     Peak memory is bounded: streams are kept for at most
-    ``keep_workloads`` distinct workloads (LRU), matching the
-    per-benchmark cache lifetime of the pre-scenario harness — grids
-    iterate workload-outermost, so completed workloads' streams are
-    never needed again.
+    ``keep_workloads`` distinct workloads (LRU).  The serial
+    :func:`run_sweep` asks for the cells of one key together, so a
+    key's streams are never needed again once its group is done.
     """
 
     def __init__(self, keep_workloads: int = 2) -> None:
@@ -204,15 +216,13 @@ class SweepTraceCache:
         """The cell's per-core miss streams (raw traces in legacy mode)."""
         if scenario.engine_mode == "legacy":
             return scenario.build_traces()
-        cores = scenario.active_cores()
-        l1_config = scenario.config.l1
-        key = (scenario.workload, scenario.scale, scenario.seed, cores, l1_config)
+        key = _stream_key(scenario)
         self._touch(scenario.workload)
         streams = self._streams.get(key)
         if streams is None:
-            lazy = scenario.build_workload().trace_blocks(cores)
+            lazy = scenario.build_workload().trace_blocks(scenario.active_cores())
             streams = self._streams[key] = miss_streams(
-                lazy, l1_config, scenario.max_cycles
+                lazy, scenario.config.l1, scenario.max_cycles
             )
         return dict(streams)
 
@@ -226,6 +236,25 @@ def _cached_traces(cache: SweepTraceCache, scenario: "Scenario") -> Dict[int, ob
     """
     with trace("engine.trace_gen", workload=scenario.workload):
         return cache.traces(scenario)
+
+
+def _run_serial(scenarios: List["Scenario"]) -> List[ScenarioResult]:
+    """Run cells in-process, grouped by stream key; results in cell order.
+
+    Groups run in the order of their first cell, and a group's cells in
+    cell order (a stable sort), so each group's streams are built once
+    and the cache never has to hold more than the group at hand.
+    """
+    first: Dict[Tuple, int] = {}
+    group = [first.setdefault(_stream_key(s), i) for i, s in enumerate(scenarios)]
+    cache = SweepTraceCache()
+    results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+    for index in sorted(range(len(scenarios)), key=group.__getitem__):
+        scenario = scenarios[index]
+        results[index] = run_scenario(
+            scenario, traces=_cached_traces(cache, scenario)
+        )
+    return results
 
 
 def run_sweep(
@@ -271,13 +300,7 @@ def run_sweep(
             return list(fresh_pool.map(run_scenario, cells))
 
     if store is None:
-        if serial:
-            cache = SweepTraceCache()
-            return [
-                run_scenario(s, traces=_cached_traces(cache, s))
-                for s in scenarios
-            ]
-        return _in_workers(scenarios)
+        return _run_serial(scenarios) if serial else _in_workers(scenarios)
 
     # Fingerprint each cell once, driving both the store lookup and
     # the miss grouping (store.load would hash every cell again).
@@ -296,14 +319,7 @@ def run_sweep(
             miss_groups.setdefault(fingerprints[index], []).append(index)
     misses = [scenarios[indices[0]] for indices in miss_groups.values()]
     if misses:
-        if serial:
-            cache = SweepTraceCache()
-            computed = [
-                run_scenario(s, traces=_cached_traces(cache, s))
-                for s in misses
-            ]
-        else:
-            computed = _in_workers(misses)
+        computed = _run_serial(misses) if serial else _in_workers(misses)
         for indices, result in zip(miss_groups.values(), computed):
             with trace("engine.persist", workload=result.scenario.workload):
                 store.save(result)

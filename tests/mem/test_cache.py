@@ -1,5 +1,7 @@
 """Tests of the functional set-associative cache."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -180,3 +182,53 @@ class TestLazySets:
         assert not _UNFILLED
         assert c.access(0).hit is False  # refills after invalidation
         assert c.access(0).hit is True
+
+
+class TestReadAllocate:
+    """The flat demand read against the general :meth:`access`."""
+
+    @staticmethod
+    def drive(flat, ref, seed, n=4000):
+        """Random reads (``read_allocate`` on ``flat``, ``access`` on
+        ``ref``) interleaved with the same write-backs, general
+        accesses and partial flushes on both."""
+        rng = random.Random(seed)
+        for _ in range(n):
+            address = rng.randrange(1 << 14)
+            op = rng.random()
+            if op < 0.6:
+                result = ref.access(address)
+                assert flat.read_allocate(address) == (result.hit, result.writeback)
+            elif op < 0.85:
+                assert flat.write_no_allocate(address) == ref.write_no_allocate(
+                    address
+                )
+            elif op < 0.99:  # the MRU filter must stay coherent
+                is_write = rng.random() < 0.5
+                assert flat.access(address, is_write) == ref.access(
+                    address, is_write
+                )
+            else:  # leaves free ways below used ones
+                doomed = rng.randrange(8)
+                predicate = lambda a: (a >> 5) % 8 == doomed  # noqa: E731
+                assert flat.flush(predicate) == ref.flush(predicate)
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_access(self, stride, seed):
+        flat = make(capacity=1024, assoc=4, index_stride_lines=stride)
+        ref = make(capacity=1024, assoc=4, index_stride_lines=stride)
+        self.drive(flat, ref, seed)
+        assert flat.stats == ref.stats
+        assert flat.stats.evictions and flat.stats.writebacks  # exercised
+        assert flat.dirty_lines() == ref.dirty_lines()
+        # The same lines in the same ways, in the same recency order.
+        assert flat._sets == ref._sets
+        assert flat._lru_stacks == ref._lru_stacks
+
+    def test_non_lru_policy_takes_the_general_path(self):
+        flat = make(capacity=1024, assoc=4, policy="fifo")
+        ref = make(capacity=1024, assoc=4, policy="fifo")
+        self.drive(flat, ref, seed=4, n=1000)
+        assert flat.stats == ref.stats
+        assert flat._sets == ref._sets

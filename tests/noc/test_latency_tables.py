@@ -7,6 +7,7 @@ from repro.noc.bus_mesh import HybridBusMesh
 from repro.noc.bus_tree import HybridBusTree
 from repro.noc.mesh3d import True3DMesh
 from repro.noc.mot_adapter import MoTInterconnect
+from repro.noc.router import RouterTiming
 
 PACKET_CLASSES = [True3DMesh, HybridBusMesh, HybridBusTree]
 
@@ -34,6 +35,22 @@ class TestLatencyEnergyTable:
         entry = ic._route_table[(0, 5)]
         ic.access(0, 5, 100)
         assert ic._route_table[(0, 5)] is entry  # reused, not rebuilt
+
+    @pytest.mark.parametrize("factory", PACKET_CLASSES,
+                             ids=lambda f: f.__name__)
+    def test_static_entries_shared_per_parameter_set(self, factory):
+        """Entries are built once per (class, parameters) and shared;
+        each instance keeps its own table of used pairs, which
+        invalidation clears for that instance alone."""
+        a, b = factory(), factory()
+        a.access(0, 5, 0)
+        b.access(0, 5, 0)
+        assert a._route_table[(0, 5)] is b._route_table[(0, 5)]
+        a.invalidate_tables()
+        assert not a._route_table
+        assert (0, 5) in b._route_table
+        slower = factory(timing=RouterTiming(pipeline_cycles=4))
+        assert slower.access(0, 5, 0) > factory().access(0, 5, 0)
 
     def test_contention_stays_dynamic(self):
         """Tables carry only static data: back-to-back same-bank

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.mem.dram import WIDE_IO_3D
 from repro.mot.power_state import FULL_CONNECTION, PC16_MB8, PC4_MB8, PowerState
 from repro.noc.mesh3d import True3DMesh
+from repro.noc.mot_adapter import MoTInterconnect
 from repro.sim.cluster import Cluster3D
 from repro.sim.trace import MemRef, TraceStep
 from repro.workloads import build_traces
@@ -73,6 +74,38 @@ class TestPowerStates:
         bad = {0: iter([TraceStep(compute_cycles=1)])}  # core 0 is gated
         with pytest.raises(ConfigurationError):
             cl.run(bad)
+
+    @staticmethod
+    def count_applies(monkeypatch, mot):
+        applied = []
+        apply = mot._apply
+
+        def counted(state):
+            applied.append(state)
+            apply(state)
+
+        monkeypatch.setattr(mot, "_apply", counted)
+        return applied
+
+    def test_mot_built_for_the_state_is_not_reconfigured(self, monkeypatch):
+        """An equal state (here an equal copy, not the same object) is
+        not applied a second time."""
+        mot = MoTInterconnect(state=PC4_MB8)
+        applied = self.count_applies(monkeypatch, mot)
+        cl = Cluster3D(
+            interconnect=mot,
+            power_state=PowerState.from_counts("PC4-MB8", 4, 8),
+        )
+        assert applied == []
+        assert cl.interconnect.zero_load_latency(0, 0) == 7  # Table I
+
+    def test_mot_in_another_state_is_reconfigured(self, monkeypatch):
+        mot = MoTInterconnect(state=FULL_CONNECTION)
+        applied = self.count_applies(monkeypatch, mot)
+        Cluster3D(interconnect=mot, power_state=PC4_MB8)
+        assert applied == [PC4_MB8]
+        assert mot.power_state == PC4_MB8
+        assert mot.zero_load_latency(0, 0) == 7
 
 
 class TestEndToEnd:

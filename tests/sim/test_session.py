@@ -145,6 +145,61 @@ class TestRunSweep:
         evicted_rerun = run_scenario(a, traces=cache.traces(a))
         assert evicted_rerun.report == first.report
 
+    def test_serial_sweep_runs_cells_grouped_by_stream_key(self, monkeypatch):
+        """Cells whose stream keys interleave still get one L1 pass per
+        key: they run grouped (groups in first-appearance order, cell
+        order within a group), come back in cell order, and are
+        persisted in cell order."""
+        from repro.sim import session
+        from repro.store import MemoryStore
+
+        passes, ran, saved = [], [], []
+        miss_streams, run_one = session.miss_streams, session.run_scenario
+
+        def counted_passes(*args, **kwargs):
+            passes.append(args)
+            return miss_streams(*args, **kwargs)
+
+        def recorded(scenario, *args, **kwargs):
+            ran.append(scenario)
+            return run_one(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(session, "miss_streams", counted_passes)
+        monkeypatch.setattr(session, "run_scenario", recorded)
+        cells = [
+            Scenario(workload="volrend", scale=SCALE),  # key A: 16 cores
+            Scenario(workload="fft", scale=SCALE),  # key B
+            Scenario(workload="volrend", power_state="PC4-MB8",
+                     scale=SCALE),  # key C: cores 6-9
+            Scenario(workload="volrend", interconnect="mesh",
+                     scale=SCALE),  # key A
+            Scenario(workload="fft", power_state="PC16-MB8",
+                     scale=SCALE),  # key B
+            Scenario(workload="volrend", power_state="PC4-MB32",
+                     scale=SCALE),  # key C
+        ]
+        grouped = [cells[i] for i in (0, 3, 1, 4, 2, 5)]
+        results = run_sweep(cells)
+        assert len(passes) == 3
+        assert ran == grouped
+        assert [r.scenario for r in results] == cells
+
+        store = MemoryStore()
+        store_save = store.save
+        monkeypatch.setattr(
+            store, "save",
+            lambda result: (saved.append(result.scenario), store_save(result)),
+        )
+        passes.clear()
+        ran.clear()
+        stored = run_sweep(cells, store=store)
+        assert len(passes) == 3
+        assert ran == grouped
+        assert saved == cells
+        assert stored == results
+        for cell, result in zip(cells, results):
+            assert result.report == run_scenario(cell).report
+
     def test_custom_scenario_parallel_matches_serial(self):
         """Acceptance: a non-Table-I scenario (custom DRAM latency,
         custom seed) through jobs=2 is bit-identical to its serial
