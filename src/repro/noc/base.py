@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from types import MappingProxyType
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -207,16 +206,17 @@ def _static_routes(cls, *params) -> Mapping[Tuple[int, int], tuple]:
 
     Pure: the entries are frozen and hold only numbers and tuples of
     numbers (link, pillar and bus *indices*, never per-instance
-    objects), so one read-only table serves every instance with equal
-    parameters.
+    objects), so one table serves every instance with equal
+    parameters.  Read it, never write it (a plain dict, so a fabric
+    that holds it still pickles).
     """
     proto = cls(*params)
     geometry = proto.geometry
-    return MappingProxyType({
+    return {
         (core, bank): proto._build_route_entry(core, bank)
         for core in range(geometry.n_cores)
         for bank in range(geometry.n_banks)
-    })
+    }
 
 
 class PacketInterconnect(Interconnect):
@@ -266,6 +266,8 @@ class PacketInterconnect(Interconnect):
         return route.write_energy if is_write else route.read_energy
 
     def _clear_reservations(self) -> None:
+        """Fresh reservations; ``__init__`` runs this before a subclass
+        has built its buses, which its ``reset_contention`` resets."""
         self._link_busy: List[int] = [0] * self._n_links
         self._port_busy: List[int] = [0] * self.geometry.n_banks
         self._links = ReservationTable()

@@ -1,5 +1,7 @@
 """Tests of the precomputed interconnect latency/energy tables."""
 
+import pickle
+
 import pytest
 
 from repro.mot.power_state import FULL_CONNECTION, PC4_MB8
@@ -51,6 +53,20 @@ class TestLatencyEnergyTable:
         assert (0, 5) in b._route_table
         slower = factory(timing=RouterTiming(pipeline_cycles=4))
         assert slower.access(0, 5, 0) > factory().access(0, 5, 0)
+
+    @pytest.mark.parametrize("factory", PACKET_CLASSES,
+                             ids=lambda f: f.__name__)
+    def test_used_fabric_pickles(self, factory):
+        """A fabric holding the shared table still pickles, and the
+        copy carries on exactly like the original."""
+        ic = factory()
+        for t in range(50):
+            ic.access(t % 16, (7 * t) % 32, t, t % 3 == 0)
+        clone = pickle.loads(pickle.dumps(ic))
+        for t in range(50, 100):
+            args = (t % 16, (5 * t) % 32, t // 2, t % 4 == 0)
+            assert clone.access(*args) == ic.access(*args)
+        assert clone.stats == ic.stats
 
     def test_contention_stays_dynamic(self):
         """Tables carry only static data: back-to-back same-bank

@@ -7,9 +7,12 @@ states, all four fabrics, random L1 geometries and DRAM latencies.
 Three runs of each must agree to full precision: the legacy scheduler
 on the raw traces, the fast scheduler on the same raw traces (its own
 L1 pass), and the fast scheduler on miss streams built beforehand (the
-sweep path).  Both schedulers must also stop at the same safety valve.
+sweep path).  Both schedulers must also stop at the same safety valve,
+and each core's miss stream must list the misses and dirty victims of
+a plain LRU model of its two L1s.
 """
 
+from collections import OrderedDict
 from dataclasses import asdict
 
 import numpy as np
@@ -131,6 +134,39 @@ def run(cell, source, max_cycles=2_000_000_000):
     return asdict(report), energy
 
 
+def lru_misses(items, l1):
+    """``(address, dirty victim or None)`` of each L1 miss of one
+    core, from a plain LRU model: per cache, one ``OrderedDict`` per
+    set, least recently used first, line -> dirty."""
+    n_sets = l1.capacity_bytes // (l1.line_bytes * l1.associativity)
+    caches = {kind: [OrderedDict() for _ in range(n_sets)]
+              for kind in (False, True)}  # keyed by is_instruction
+    misses = []
+    for item in items:
+        if isinstance(item, TraceBlock):
+            refs = zip(item.addresses.tolist(), item.is_write.tolist(),
+                       item.is_instruction.tolist())
+        elif item.ref is not None:
+            refs = [(item.ref.address, item.ref.is_write,
+                     item.ref.is_instruction)]
+        else:
+            refs = []
+        for address, is_write, is_instruction in refs:
+            line = address // l1.line_bytes
+            ways = caches[is_instruction][line % n_sets]
+            if line in ways:
+                ways.move_to_end(line)
+                ways[line] = ways[line] or is_write
+                continue
+            victim = None
+            if len(ways) == l1.associativity:
+                old, dirty = ways.popitem(last=False)
+                victim = old * l1.line_bytes if dirty else None
+            ways[line] = is_write
+            misses.append((address, victim))
+    return misses
+
+
 class TestFastPathAgainstLegacy:
     @given(cells())
     @settings(
@@ -141,6 +177,17 @@ class TestFastPathAgainstLegacy:
         legacy = run(cell, "legacy")
         assert run(cell, "fast") == legacy
         assert run(cell, "streams") == legacy
+        _state, l1, _dram, _fabric, traces = cell
+        streams = miss_streams(
+            {core: iter(items) for core, items in traces.items()}, l1
+        )
+        for core, items in traces.items():
+            stream = streams[core]
+            assert [
+                (address, victim)
+                for address, victim in zip(stream.addresses, stream.victims)
+                if address is not None
+            ] == lru_misses(items, l1)
         # The last core finishes at the execution time, so one cycle
         # less trips the safety valve in every mode.
         valve = legacy[0]["execution_cycles"] - 1
