@@ -9,15 +9,26 @@ values.  Latency and energy are accounted by the callers.
 Write policy is write-back / write-allocate (the paper's gating protocol
 explicitly writes back dirty blocks, so L2 must be write-back; we use
 the same policy for L1 toward L2).
+
+Both levels run Table I's LRU on one lean representation: each set is
+a list of its resident line addresses in recency order, least recent
+first, and each cache keeps one set of its dirty line addresses.  A
+hit is an ``in`` test on at most ``associativity`` ints (plus a move
+to the end unless the line is already there), a fill into a full set
+evicts ``pop(0)``.  The other replacement policies (FIFO, random,
+tree PLRU: ablation knobs) keep per-set policy objects over numbered
+ways; constructing a :class:`SetAssociativeCache` with one of them
+returns a :class:`PolicyCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.mem.replacement import LRUPolicy, ReplacementPolicy, make_policy
+from repro.mem.replacement import make_policy
 from repro.units import is_power_of_two
 
 
@@ -52,11 +63,6 @@ class AccessResult:
 #: Shared hit outcome: hits carry no eviction payload, so one frozen
 #: instance serves every hit (saves an allocation on the hottest path).
 HIT = AccessResult(hit=True)
-
-#: The per-set containers of every set not yet filled, in every cache.
-#: Read-only: :meth:`SetAssociativeCache.access` swaps in a set's own
-#: containers before its first insertion.
-_UNFILLED: Dict = {}
 
 
 @dataclass(slots=True)
@@ -106,6 +112,7 @@ class SetAssociativeCache:
         Geometry; all powers of two, capacity >= one set.
     policy:
         Replacement policy name (see :func:`repro.mem.replacement.make_policy`).
+        Anything but ``"lru"`` builds a :class:`PolicyCache`.
     name:
         Label used in error messages and reports.
     index_stride_lines:
@@ -115,7 +122,25 @@ class SetAssociativeCache:
         *above* the bank-interleave field — with line interleaving, a
         bank only ever sees line numbers congruent to its index, and
         indexing those directly would use 1/``n_banks`` of the sets.
+        A stride that is not a power of two also builds a
+        :class:`PolicyCache` (its set index needs div/mod).
     """
+
+    def __new__(
+        cls,
+        capacity_bytes: int = 0,
+        line_bytes: int = 32,
+        associativity: int = 4,
+        policy: str = "lru",
+        name: str = "cache",
+        seed: int = 0,
+        index_stride_lines: int = 1,
+    ) -> "SetAssociativeCache":
+        if cls is SetAssociativeCache and (
+            policy.lower() != "lru" or not is_power_of_two(index_stride_lines)
+        ):
+            cls = PolicyCache
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -144,72 +169,29 @@ class SetAssociativeCache:
             )
         self.index_stride_lines = index_stride_lines
         self.name = name
+        self._policy_name = policy
+        self._seed = seed
         self.capacity_bytes = capacity_bytes
         self.line_bytes = line_bytes
         self.associativity = associativity
         self.n_sets = capacity_bytes // (line_bytes * associativity)
-        # Geometry is all powers of two (a non-power-of-two index
-        # stride falls back to the div/mod path): the hot path indexes
-        # with shifts/masks instead of div/mod chains.
+        # The set index of a power-of-two geometry is a shift and a mask.
         self._line_mask = ~(line_bytes - 1)
-        self._pow2_stride = is_power_of_two(index_stride_lines)
         self._set_shift = (line_bytes * index_stride_lines).bit_length() - 1
         self._set_mask = self.n_sets - 1
-        # One-entry MRU filter: the last line touched.  A repeat access
-        # to it is a guaranteed hit on a way that is already MRU of its
-        # set, so the whole lookup/recency update collapses to the stat
-        # counts.  Any event that could break the invariant (fill,
-        # flush, invalidation, out-of-band recency change) resets it.
-        self._last_line: Optional[int] = None
-        self._last_obj: Optional[CacheLine] = None
-        self._policy_name = policy
-        self._seed = seed
-        # Per set: way -> CacheLine (ways not present are invalid), and
-        # line address -> way, the O(1) lookup the access fast path uses
-        # instead of scanning the ways (kept in lockstep with ``_sets``
-        # by every mutating method).  A set's containers are created on
-        # its first fill (in :meth:`access`); until then its slots share
-        # :data:`_UNFILLED`, which every lookup reads as a miss, so the
-        # hit path needs no check and an L2 bank whose sets are never
-        # touched costs three lists.
-        self._sets: List[Dict[int, CacheLine]] = [_UNFILLED] * self.n_sets
-        self._tags: List[Dict[int, int]] = [_UNFILLED] * self.n_sets
-        # For the default (Table I) LRU policy the cache manipulates
-        # bare recency stacks directly (no policy objects on the hot
-        # path); `_policies` materializes LRUPolicy views sharing the
-        # same lists on first external use.  Other policies keep the
-        # policy-object protocol.  An unfilled set has no stack yet.
-        if policy.lower() == "lru":
-            self._lru_stacks: Optional[List[Optional[List[int]]]] = (
-                [None] * self.n_sets
-            )
-            self._policies_list: Optional[List[ReplacementPolicy]] = None
-        else:
-            self._lru_stacks = None
-            self._policies_list = [
-                make_policy(policy, associativity, seed=seed + i)
-                for i in range(self.n_sets)
-            ]
         self.stats = CacheStats()
+        self._clear()
 
-    @property
-    def _policies(self) -> List[ReplacementPolicy]:
-        """Per-set policy objects (lazy LRU views over the stacks)."""
-        if self._policies_list is None:
-            policies = []
-            for index in range(self.n_sets):
-                p = LRUPolicy(self.associativity)
-                p._stack = self._lru_stack(index)  # shared with the hot path
-                policies.append(p)
-            self._policies_list = policies
-        return self._policies_list
+    def _clear(self) -> None:
+        """Empty every set and the dirty set.
 
-    def _lru_stack(self, index: int) -> List[int]:
-        """Set ``index``'s LRU recency stack, created on first use."""
-        stack = self._lru_stacks[index]
-        if stack is None:
-            stack = self._lru_stacks[index] = list(range(self.associativity))
-        return stack
+        A set is a list of its resident lines, least recently used
+        first.  Every set starts as the shared empty tuple and gets its
+        own list on its first fill, so a bank whose sets are never
+        touched costs one list.
+        """
+        self._sets: List[Sequence[Optional[int]]] = [()] * self.n_sets
+        self._dirty = set()
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -226,6 +208,9 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+    # read_allocate and replay inline this lookup and fill again: they
+    # are the simulator's hot paths (one call per L2 demand read, one
+    # per trace block), and the tests hold both to ``access``.
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Perform one access, filling on miss (write-allocate).
 
@@ -235,161 +220,145 @@ class SetAssociativeCache:
         if address < 0:
             raise ConfigurationError(f"{self.name}: negative address {address}")
         stats = self.stats
-        line_addr = address & self._line_mask
-        if line_addr == self._last_line:
-            # MRU filter: same line as the previous access — resident,
-            # and its way already heads the set's recency order.
-            if is_write:
-                stats.writes += 1
-                stats.write_hits += 1
-                self._last_obj.dirty = True
-            else:
-                stats.reads += 1
-                stats.read_hits += 1
-            return HIT
-        if self._pow2_stride:
-            index = (address >> self._set_shift) & self._set_mask
-        else:
-            index = (
-                (address // self.line_bytes) // self.index_stride_lines
-            ) % self.n_sets
-        tags = self._tags[index]
-
         if is_write:
             stats.writes += 1
         else:
             stats.reads += 1
-
-        way = tags.get(line_addr)
-        stacks = self._lru_stacks
-        if way is not None:
-            line = self._sets[index][way]
-            if stacks is not None:
-                stack = stacks[index]
-                if stack[-1] != way:  # touching the MRU way is a no-op
-                    stack.remove(way)
-                    stack.append(way)
-            else:
-                self._policies[index].touch(way)
+        line = address & self._line_mask
+        index = (address >> self._set_shift) & self._set_mask
+        ways = self._sets[index]
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
             if is_write:
-                line.dirty = True
                 stats.write_hits += 1
+                self._dirty.add(line)
             else:
                 stats.read_hits += 1
-            self._last_line = line_addr
-            self._last_obj = line
             return HIT
-
-        # Miss: choose a way (an invalid one if available).
-        cache_set = self._sets[index]
-        if cache_set is _UNFILLED:  # first fill: the set's own containers
-            cache_set = self._sets[index] = {}
-            tags = self._tags[index] = {}
-            if stacks is not None:
-                self._lru_stack(index)
         writeback = evicted = None
-        if len(cache_set) < self.associativity:
-            for way in range(self.associativity):  # the lowest free way
-                if way not in cache_set:
-                    break
-            line = CacheLine(address=line_addr, dirty=is_write)
-            cache_set[way] = line
+        if not ways:
+            self._sets[index] = [line]
+        elif len(ways) < self.associativity:
+            ways.append(line)
         else:
-            if stacks is not None:
-                way = stacks[index][0]
-            else:
-                way = self._policies[index].victim([True] * self.associativity)
-            victim = cache_set[way]
-            evicted = victim.address
-            del tags[victim.address]
+            evicted = ways.pop(0)
+            ways.append(line)
             stats.evictions += 1
-            if victim.dirty:
-                writeback = victim.address
+            if evicted in self._dirty:
+                self._dirty.remove(evicted)
+                writeback = evicted
                 stats.writebacks += 1
-            # Recycle the evicted line object for the fill (no alloc).
-            victim.address = line_addr
-            victim.dirty = is_write
-            line = victim
-        tags[line_addr] = way
-        if stacks is not None:
-            stack = stacks[index]
-            stack.remove(way)
-            stack.append(way)
-        else:
-            self._policies[index].insert(way)
-        self._last_line = line_addr
-        self._last_obj = line
+        if is_write:
+            self._dirty.add(line)
         return AccessResult(hit=False, writeback=writeback, evicted=evicted)
 
     def read_allocate(self, address: int) -> Tuple[bool, Optional[int]]:
         """A read that fills on a miss: ``(hit, dirty_victim)``.
 
-        The same transitions of the same per-set structures, and the
-        same counters, as ``access(address)``, returned as plain values
-        (no :class:`AccessResult`: a shared L2 bank's reads mostly
-        miss).  It skips the MRU filter, which a shared bank rarely
-        hits, and empties it, so a later :meth:`access` cannot take a
-        stale shortcut.  The caller has checked ``address``.  LRU only:
-        other policies take :meth:`access`.
+        The same transitions and counters as ``access(address)``,
+        returned as plain values (no :class:`AccessResult`: a shared L2
+        bank's reads mostly miss).  The caller has checked ``address``.
         """
-        stacks = self._lru_stacks
-        if stacks is None:
-            result = self.access(address)
-            return result.hit, result.writeback
-        self._last_line = None
         stats = self.stats
         stats.reads += 1
-        line_addr = address & self._line_mask
-        if self._pow2_stride:
-            index = (address >> self._set_shift) & self._set_mask
-        else:
-            index = (
-                (address // self.line_bytes) // self.index_stride_lines
-            ) % self.n_sets
-        tags = self._tags[index]
-        way = tags.get(line_addr)
-        if way is not None:
-            stack = stacks[index]
-            if stack[-1] != way:
-                stack.remove(way)
-                stack.append(way)
+        line = address & self._line_mask
+        index = (address >> self._set_shift) & self._set_mask
+        ways = self._sets[index]
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
             stats.read_hits += 1
             return True, None
-
-        cache_set = self._sets[index]
-        associativity = self.associativity
-        if cache_set is _UNFILLED:
-            # First fill: the set's own containers, the line in way 0.
-            self._sets[index] = {0: CacheLine(line_addr)}
-            self._tags[index] = {line_addr: 0}
-            stack = stacks[index]
-            if stack is None:
-                stacks[index] = [*range(1, associativity), 0]
-            else:
-                stack.remove(0)
-                stack.append(0)
-            return False, None
-        writeback = None
-        if len(cache_set) < associativity:
-            for way in range(associativity):  # the lowest free way
-                if way not in cache_set:
-                    break
-            cache_set[way] = CacheLine(line_addr)
+        if not ways:
+            self._sets[index] = [line]
+        elif len(ways) < self.associativity:
+            ways.append(line)
         else:
-            way = stacks[index][0]
-            victim = cache_set[way]
-            del tags[victim.address]
+            victim = ways.pop(0)
+            ways.append(line)
             stats.evictions += 1
-            if victim.dirty:
-                writeback = victim.address
+            if victim in self._dirty:
+                self._dirty.remove(victim)
                 stats.writebacks += 1
-            victim.address = line_addr  # recycled for the fill
-            victim.dirty = False
-        tags[line_addr] = way
-        stack = stacks[index]
-        stack.remove(way)
-        stack.append(way)
-        return False, writeback
+                return False, victim
+        return False, None
+
+    def replay(
+        self, addresses: Sequence[int], writes: Optional[Sequence[bool]] = None
+    ) -> Tuple[List[int], List[Optional[int]]]:
+        """``access`` each of ``addresses`` in order, in one call.
+
+        ``writes[i]`` is reference ``i``'s write flag (all reads when
+        ``None``).  Returns ``(misses, victims)``: the offsets in
+        ``addresses`` that missed, in order, and for each the dirty
+        line its fill evicted, or ``None``.  The cache ends with the
+        state and counters the ``access`` calls would leave; at a
+        negative address the references before it are applied, then
+        :class:`ConfigurationError` is raised, as ``access`` would.
+        """
+        n = len(addresses)
+        if n and min(addresses) < 0:
+            first = next(i for i, a in enumerate(addresses) if a < 0)
+            self.replay(
+                addresses[:first], None if writes is None else writes[:first]
+            )
+            raise ConfigurationError(
+                f"{self.name}: negative address {addresses[first]}"
+            )
+        if writes is None:
+            n_writes = 0
+            writes = repeat(False, n)
+        else:
+            n_writes = sum(writes)
+        sets = self._sets
+        dirty = self._dirty
+        line_mask = self._line_mask
+        set_shift = self._set_shift
+        set_mask = self._set_mask
+        associativity = self.associativity
+        misses: List[int] = []
+        victims: List[Optional[int]] = []
+        write_misses = evictions = writebacks = 0
+        for offset, address, is_write in zip(range(n), addresses, writes):
+            line = address & line_mask
+            index = (address >> set_shift) & set_mask
+            ways = sets[index]
+            if line in ways:
+                if ways[-1] != line:
+                    ways.remove(line)
+                    ways.append(line)
+                if is_write:
+                    dirty.add(line)
+                continue
+            misses.append(offset)
+            victim = None
+            if not ways:
+                sets[index] = [line]
+            elif len(ways) < associativity:
+                ways.append(line)
+            else:
+                evicted = ways.pop(0)
+                ways.append(line)
+                evictions += 1
+                if evicted in dirty:
+                    dirty.remove(evicted)
+                    victim = evicted
+                    writebacks += 1
+            victims.append(victim)
+            if is_write:
+                dirty.add(line)
+                write_misses += 1
+        stats = self.stats
+        stats.reads += n - n_writes
+        stats.writes += n_writes
+        stats.read_hits += n - n_writes - (len(misses) - write_misses)
+        stats.write_hits += n_writes - write_misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return misses, victims
 
     def write_no_allocate(self, address: int) -> bool:
         """Update-in-place write: dirty the line if resident, else miss.
@@ -399,52 +368,49 @@ class SetAssociativeCache:
         the write must be forwarded to the next level (no fetch).
         Returns True on hit.
         """
-        line_addr = address & self._line_mask
-        if self._pow2_stride:
-            index = (address >> self._set_shift) & self._set_mask
-        else:
-            index = self.set_index(address)
+        line = address & self._line_mask
+        ways = self._sets[(address >> self._set_shift) & self._set_mask]
         self.stats.writes += 1
-        way = self._tags[index].get(line_addr)
-        if way is not None:
-            line = self._sets[index][way]
-            line.dirty = True
-            stacks = self._lru_stacks
-            if stacks is not None:
-                stack = stacks[index]
-                if stack[-1] != way:
-                    stack.remove(way)
-                    stack.append(way)
-            else:
-                self._policies[index].touch(way)
-            # This line is now the MRU of its set: move the filter here.
-            self._last_line = line_addr
-            self._last_obj = line
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
+            self._dirty.add(line)
             self.stats.write_hits += 1
             return True
         return False
 
     def probe(self, address: int) -> bool:
         """Non-destructive residency check (no state change)."""
-        line_addr = self.line_address(address)
-        return line_addr in self._tags[self.set_index(address)]
+        return self.line_address(address) in self._sets[self.set_index(address)]
 
     # ------------------------------------------------------------------
     # Maintenance (used by the power-gating protocol)
     # ------------------------------------------------------------------
+    def _resident(self) -> Iterator[int]:
+        """Addresses of all resident lines, set by set (an LRU set's
+        least recent first; ``None`` is an invalid way of a
+        :class:`PolicyCache` set)."""
+        for lines in self._sets:
+            for line in lines:
+                if line is not None:
+                    yield line
+
     def lines(self) -> Iterator[CacheLine]:
-        """All resident lines."""
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        """All resident lines (built on demand)."""
+        dirty = self._dirty
+        for line in self._resident():
+            yield CacheLine(line, line in dirty)
 
     def dirty_lines(self) -> List[int]:
-        """Addresses of all dirty resident lines."""
-        return [line.address for line in self.lines() if line.dirty]
+        """Addresses of all dirty resident lines, in :meth:`lines` order."""
+        dirty = self._dirty
+        return [line for line in self._resident() if line in dirty]
 
     @property
     def resident_lines(self) -> int:
         """Number of valid lines."""
-        return sum(len(s) for s in self._sets)
+        return sum(1 for _ in self._resident())
 
     def flush(
         self, predicate: Optional[Callable[[int], bool]] = None
@@ -455,37 +421,131 @@ class SetAssociativeCache:
         Returns ``(lines_written_back, lines_invalidated)``.
         """
         written = invalidated = 0
-        self._last_line = None
-        self._last_obj = None
-        for index, cache_set in enumerate(self._sets):
+        dirty = self._dirty
+        for lines in self._sets:
             doomed = [
-                way
-                for way, line in cache_set.items()
-                if predicate is None or predicate(line.address)
+                line
+                for line in lines
+                if line is not None and (predicate is None or predicate(line))
             ]
-            for way in doomed:
-                line = cache_set.pop(way)
-                del self._tags[index][line.address]
+            for line in doomed:
+                self._drop(lines, line)
                 invalidated += 1
-                if line.dirty:
+                if line in dirty:
+                    dirty.remove(line)
                     written += 1
         self.stats.writebacks += written
         return written, invalidated
+
+    @staticmethod
+    def _drop(lines: List[int], line: int) -> None:
+        """Invalidate resident ``line`` of set ``lines``."""
+        lines.remove(line)
 
     def invalidate_all(self) -> int:
         """Drop every line without writing back (power-off semantics
         *after* the controller has already flushed dirty data)."""
         count = self.resident_lines
-        self._last_line = None
-        self._last_obj = None
-        for cache_set in self._sets:
-            cache_set.clear()
-        for tags in self._tags:
-            tags.clear()
+        self._clear()
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<SetAssociativeCache {self.name} {self.capacity_bytes}B "
+            f"<{type(self).__name__} {self.name} {self.capacity_bytes}B "
             f"{self.associativity}-way {self.n_sets} sets>"
         )
+
+
+class PolicyCache(SetAssociativeCache):
+    """A :class:`SetAssociativeCache` run by per-set policy objects.
+
+    Built for the FIFO, random and tree-PLRU ablation policies, and for
+    LRU at an index stride that is not a power of two.  A set is a
+    list of ``associativity`` numbered ways, each holding a line
+    address or ``None`` (invalid); a fill takes the lowest invalid way,
+    else the way the set's :class:`~repro.mem.replacement.ReplacementPolicy`
+    names, which is told of every hit and fill.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._policies = [
+            make_policy(self._policy_name, self.associativity, seed=self._seed + i)
+            for i in range(self.n_sets)
+        ]
+
+    def _clear(self) -> None:
+        self._sets = [[None] * self.associativity for _ in range(self.n_sets)]
+        self._dirty = set()
+
+    def access(self, address: int, is_write: bool = False) -> AccessResult:
+        if address < 0:
+            raise ConfigurationError(f"{self.name}: negative address {address}")
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        line = address & self._line_mask
+        index = self.set_index(address)
+        ways = self._sets[index]
+        policy = self._policies[index]
+        if line in ways:
+            policy.touch(ways.index(line))
+            if is_write:
+                stats.write_hits += 1
+                self._dirty.add(line)
+            else:
+                stats.read_hits += 1
+            return HIT
+        writeback = evicted = None
+        if None in ways:
+            way = ways.index(None)
+        else:
+            way = policy.victim([True] * self.associativity)
+            evicted = ways[way]
+            stats.evictions += 1
+            if evicted in self._dirty:
+                self._dirty.remove(evicted)
+                writeback = evicted
+                stats.writebacks += 1
+        ways[way] = line
+        policy.insert(way)
+        if is_write:
+            self._dirty.add(line)
+        return AccessResult(hit=False, writeback=writeback, evicted=evicted)
+
+    def read_allocate(self, address: int) -> Tuple[bool, Optional[int]]:
+        result = self.access(address)
+        return result.hit, result.writeback
+
+    def replay(
+        self, addresses: Sequence[int], writes: Optional[Sequence[bool]] = None
+    ) -> Tuple[List[int], List[Optional[int]]]:
+        misses: List[int] = []
+        victims: List[Optional[int]] = []
+        access = self.access
+        if writes is None:
+            writes = repeat(False, len(addresses))
+        for offset, (address, is_write) in enumerate(zip(addresses, writes)):
+            result = access(address, is_write)
+            if not result.hit:
+                misses.append(offset)
+                victims.append(result.writeback)
+        return misses, victims
+
+    def write_no_allocate(self, address: int) -> bool:
+        line = address & self._line_mask
+        index = self.set_index(address)
+        ways = self._sets[index]
+        self.stats.writes += 1
+        if line in ways:
+            self._policies[index].touch(ways.index(line))
+            self._dirty.add(line)
+            self.stats.write_hits += 1
+            return True
+        return False
+
+    @staticmethod
+    def _drop(lines: List[Optional[int]], line: int) -> None:
+        lines[lines.index(line)] = None

@@ -41,6 +41,9 @@ class MoTFabric:
     floorplan:
         Geometry used for wire-length accounting; defaults to a floorplan
         with matching dimensions on the paper's 5 mm die.
+    state:
+        The power state the fabric is built in; defaults to Full
+        connection.
     """
 
     def __init__(
@@ -48,6 +51,7 @@ class MoTFabric:
         n_cores: int = 16,
         n_banks: int = 32,
         floorplan: Optional[Floorplan3D] = None,
+        state: Optional[PowerState] = None,
     ) -> None:
         self.n_cores = n_cores
         self.n_banks = n_banks
@@ -60,11 +64,11 @@ class MoTFabric:
         self.arbitration_trees: List[ArbitrationTree] = [
             ArbitrationTree(bank_id=b, n_cores=n_cores) for b in range(n_banks)
         ]
-        self._plan: ReconfigurationPlan = plan_reconfiguration(
-            PowerState.from_counts(
+        if state is None:
+            state = PowerState.from_counts(
                 "Full connection", n_cores, n_banks, n_cores, n_banks
             )
-        )
+        self._plan: ReconfigurationPlan = plan_reconfiguration(state)
         self._gated_arb: Set[Tuple[int, int, int]] = set()
         self.apply_plan(self._plan)
 

@@ -54,10 +54,9 @@ class MoTInterconnect(Interconnect):
         #: Busy-until cycle of each bank port.
         self._bank_busy = [0] * state.total_banks
         self._fabric = MoTFabric(
-            state.total_cores, state.total_banks, self.floorplan
+            state.total_cores, state.total_banks, self.floorplan, state
         )
-        self._state = state
-        self._apply(state)
+        self._settle(state)
 
     # ------------------------------------------------------------------
     # Power-state control
@@ -73,6 +72,10 @@ class MoTInterconnect(Interconnect):
 
     def _apply(self, state: PowerState) -> None:
         self._fabric.apply_power_state(state)
+        self._settle(state)
+
+    def _settle(self, state: PowerState) -> None:
+        """Take on ``state``, which the fabric is already driven to."""
         self._state = state
         # The per-state latency/energy surface: uniform across
         # (core, bank) pairs for the MoT, so the "table" is two scalars

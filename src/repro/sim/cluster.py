@@ -70,15 +70,15 @@ class Cluster3D:
         self.power_state = power_state
         self.frequency_hz = frequency_hz
         self.interconnect = interconnect or MoTInterconnect(state=power_state)
-        if (
-            isinstance(self.interconnect, MoTInterconnect)
-            and self.interconnect.power_state != power_state
-        ):
+        if isinstance(self.interconnect, MoTInterconnect):
             # A MoT built for this very state (the usual case) is left
             # as it is: applying a state reconfigures the whole fabric.
-            self.interconnect.set_power_state(power_state)
-
-        plan = plan_reconfiguration(power_state)
+            if self.interconnect.power_state != power_state:
+                self.interconnect.set_power_state(power_state)
+            # The L2 folds banks by the plan the fabric is driven by.
+            plan = self.interconnect.fabric.plan
+        else:
+            plan = plan_reconfiguration(power_state)
         self.l2 = BankedL2(config=l2_config, plan=plan)
         self.l1i: Dict[int, L1Cache] = {}
         self.l1d: Dict[int, L1Cache] = {}

@@ -12,11 +12,20 @@ events* (L1 misses, barrier arrivals, the end of the trace) and the
 private cycles between them.  The engine then walks these events
 alone, and a sweep replays one stream across every cell that shares
 ``(workload, scale, seed, active cores, L1 config)``.
+
+The I- and D-caches are independent too, so an array-backed
+:class:`~repro.sim.trace.TraceBlock` goes through each in one
+:meth:`~repro.mem.cache.SetAssociativeCache.replay` call (the fetches
+through the I-cache, the rest through the D-cache); the two lists of
+miss positions merge back into block order, and numpy turns them into
+the private cycles between misses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.mem.cache import HIT
@@ -68,6 +77,32 @@ class MissStream:
         )
 
 
+def _block_misses(block: TraceBlock, icache, dcache) -> Tuple[np.ndarray, List]:
+    """Replay one block through the core's L1s; returns the block
+    positions that missed, in order, and each miss's dirty victim.
+
+    The two caches are independent, so each replays its own references
+    in one call (the I-cache the fetches, the D-cache the rest), and
+    their miss positions merge back into block order.
+    """
+    addresses = block.addresses
+    fetches = np.flatnonzero(block.is_instruction)
+    if not fetches.size:
+        misses, victims = dcache.replay(
+            addresses.tolist(), block.is_write.tolist()
+        )
+        return np.asarray(misses, dtype=np.int64), victims
+    data = np.flatnonzero(~block.is_instruction)
+    d_misses, d_victims = dcache.replay(
+        addresses[data].tolist(), block.is_write[data].tolist()
+    )
+    i_misses, i_victims = icache.replay(addresses[fetches].tolist())
+    positions = np.concatenate((data[d_misses], fetches[i_misses]))
+    order = positions.argsort()
+    victims = d_victims + i_victims
+    return positions[order], [victims[k] for k in order.tolist()]
+
+
 def miss_stream(
     trace: CoreTrace,
     icache,
@@ -80,6 +115,11 @@ def miss_stream(
     ``icache``/``dcache`` are the core's
     :class:`~repro.mem.cache.SetAssociativeCache` models, built from
     ``l1_config``; they end in the state the trace leaves them in.
+    A :class:`TraceBlock` goes through each cache in one
+    :meth:`~repro.mem.cache.SetAssociativeCache.replay` call; a
+    :class:`TraceStep` (and a block holding a negative address, which
+    then raises at that reference) takes one ``access`` per reference.
+    Either way the caches see each reference in trace order.
     A trace whose private work alone passes ``max_cycles`` (each miss
     counted as one cycle, its least latency) raises
     :class:`SimulationError`, so a runaway trace stops here instead of
@@ -100,39 +140,54 @@ def miss_stream(
     clock = 0  # private cycles since the core's last event
     busy = references = misses = 0
     for item in trace:
+        refs = ()
         if isinstance(item, TraceBlock):
             gap = item.compute_gap
-            refs = zip(
-                item.addresses.tolist(),
-                item.is_write.tolist(),
-                item.is_instruction.tolist(),
-            )
+            step = gap + hit_latency
             n = len(item)
+            if n and item.addresses.min() >= 0:
+                positions, block_victims = _block_misses(item, icache, dcache)
+                if positions.size:
+                    # A miss at position m after the previous one at p
+                    # follows m - p - 1 hits: (m - p - 1) * step + gap.
+                    block_gaps = np.diff(positions, prepend=-1) * step - hit_latency
+                    block_gaps[0] += clock
+                    gaps += block_gaps.tolist()
+                    addresses += item.addresses[positions].tolist()
+                    victims += block_victims
+                    misses += positions.size
+                    clock = (n - 1 - int(positions[-1])) * step
+                else:
+                    clock += n * step
+            else:  # empty, or raises at its negative address
+                refs = zip(
+                    item.addresses.tolist(),
+                    item.is_write.tolist(),
+                    item.is_instruction.tolist(),
+                )
         elif item.ref is None:  # compute and/or barrier only
             gap = item.compute_cycles
             clock += gap
             busy += gap
-            refs = ()
             n = 0
         else:
             gap = item.compute_cycles
+            step = gap + hit_latency
             ref = item.ref
             refs = ((ref.address, ref.is_write, ref.is_instruction),)
             n = 1
-        if n:
-            step = gap + hit_latency
-            for address, is_write, is_instruction in refs:
-                result = access[is_instruction](address, is_write)
-                if result is HIT or result.hit:
-                    clock += step
-                    continue
-                gaps.append(clock + gap)
-                addresses.append(address)
-                victims.append(result.writeback)
-                misses += 1
-                clock = 0
-            references += n
-            busy += n * (gap + 1)
+        for address, is_write, is_instruction in refs:
+            result = access[is_instruction](address, is_write)
+            if result is HIT or result.hit:
+                clock += step
+                continue
+            gaps.append(clock + gap)
+            addresses.append(address)
+            victims.append(result.writeback)
+            misses += 1
+            clock = 0
+        references += n
+        busy += n * (gap + 1)
         if item.barrier is not None:
             stream.barriers[len(gaps)] = item.barrier
             gaps.append(clock)

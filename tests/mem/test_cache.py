@@ -1,11 +1,12 @@
 """Tests of the functional set-associative cache."""
 
+import copy
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mem.cache import _UNFILLED, SetAssociativeCache
+from repro.mem.cache import SetAssociativeCache
 
 
 def make(capacity=4 * 1024, line=32, assoc=4, **kw) -> SetAssociativeCache:
@@ -156,8 +157,8 @@ class TestFlush:
 
 
 class TestLazySets:
-    """A set's containers appear on its first fill; until then every
-    unfilled set shares one empty, never-written placeholder."""
+    """An LRU set's list appears on its first fill; until then every
+    unfilled set is the shared, immutable empty tuple."""
 
     def test_only_filled_sets_own_state(self):
         c = make()
@@ -165,7 +166,7 @@ class TestLazySets:
         for way in range(6):  # one set: fills, then evicts
             c.access(way * step, is_write=True)
         c.access(32)  # a second set
-        owned = [i for i, s in enumerate(c._sets) if s is not _UNFILLED]
+        owned = [i for i, s in enumerate(c._sets) if s != ()]
         assert owned == [0, 1]
         assert len(c._sets[0]) == 4 and c.resident_lines == 5
         assert c.probe(5 * step) and not c.probe(64)
@@ -174,12 +175,12 @@ class TestLazySets:
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_placeholder_never_written(self, policy):
         c = make(policy=policy)
-        c._policies  # LRU views over stacks made before any fill
+        unfilled = copy.deepcopy(c._sets)  # LRU: all the empty tuple
         for address in range(0, 64 * 1024, 96):
             c.access(address, is_write=address % 3 == 0)
         c.flush()
         c.invalidate_all()
-        assert not _UNFILLED
+        assert c._sets == unfilled and not c._dirty
         assert c.access(0).hit is False  # refills after invalidation
         assert c.access(0).hit is True
 
@@ -222,9 +223,8 @@ class TestReadAllocate:
         assert flat.stats == ref.stats
         assert flat.stats.evictions and flat.stats.writebacks  # exercised
         assert flat.dirty_lines() == ref.dirty_lines()
-        # The same lines in the same ways, in the same recency order.
+        # The same lines in the same recency order.
         assert flat._sets == ref._sets
-        assert flat._lru_stacks == ref._lru_stacks
 
     def test_non_lru_policy_takes_the_general_path(self):
         flat = make(capacity=1024, assoc=4, policy="fifo")
@@ -232,3 +232,49 @@ class TestReadAllocate:
         self.drive(flat, ref, seed=4, n=1000)
         assert flat.stats == ref.stats
         assert flat._sets == ref._sets
+
+
+class TestReplay:
+    """A batched replay against one ``access`` per reference."""
+
+    @staticmethod
+    def blocks(seed, n_blocks=40):
+        """Random blocks over a few sets, some all-read, one with a
+        negative address."""
+        rng = random.Random(seed)
+        bad = rng.randrange(n_blocks)
+        for b in range(n_blocks):
+            n = rng.randrange(0, 60)
+            addresses = [rng.randrange(1 << 13) for _ in range(n)]
+            writes = None if b % 3 == 0 else [rng.random() < 0.3 for _ in range(n)]
+            if b == bad:
+                addresses.insert(rng.randrange(n + 1), -32)
+                if writes is not None:
+                    writes.insert(0, False)
+            yield addresses, writes
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_access(self, policy, seed):
+        flat = make(capacity=1024, assoc=4, policy=policy)
+        ref = make(capacity=1024, assoc=4, policy=policy)
+        raised = 0
+        for addresses, writes in self.blocks(seed):
+            expected = ([], [])
+            flags = writes or [False] * len(addresses)
+            try:
+                for offset, (address, is_write) in enumerate(zip(addresses, flags)):
+                    result = ref.access(address, is_write)
+                    if not result.hit:
+                        expected[0].append(offset)
+                        expected[1].append(result.writeback)
+            except ConfigurationError:
+                with pytest.raises(ConfigurationError):
+                    flat.replay(addresses, writes)
+                raised += 1
+            else:
+                assert flat.replay(addresses, writes) == expected
+            assert flat.stats == ref.stats
+            assert flat._sets == ref._sets and flat._dirty == ref._dirty
+        assert raised == 1
+        assert flat.stats.writebacks and flat.stats.read_hits  # exercised

@@ -4,9 +4,18 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mem.dram import WIDE_IO_3D
-from repro.mot.power_state import FULL_CONNECTION, PC16_MB8, PC4_MB8, PowerState
+from repro.mot import reconfigurator
+from repro.mot.fabric import MoTFabric
+from repro.mot.power_state import (
+    FULL_CONNECTION,
+    PAPER_POWER_STATES,
+    PC16_MB8,
+    PC4_MB8,
+    PowerState,
+)
 from repro.noc.mesh3d import True3DMesh
 from repro.noc.mot_adapter import MoTInterconnect
+from repro.scenario import Scenario
 from repro.sim.cluster import Cluster3D
 from repro.sim.trace import MemRef, TraceStep
 from repro.workloads import build_traces
@@ -106,6 +115,38 @@ class TestPowerStates:
         assert applied == [PC4_MB8]
         assert mot.power_state == PC4_MB8
         assert mot.zero_load_latency(0, 0) == 7
+
+    @pytest.mark.parametrize("state", PAPER_POWER_STATES, ids=lambda s: s.name)
+    def test_a_mot_cell_plans_its_power_state_once(self, monkeypatch, state):
+        """The fabric is built in the cell's state and the L2 takes the
+        fabric's plan; the cell is as if each had planned and applied
+        it.  (The pinned Fig 7 digests check the reports.)"""
+        planned = []
+        plan_modes = reconfigurator.compute_routing_modes
+
+        def counted(*args):
+            planned.append(args)
+            return plan_modes(*args)
+
+        monkeypatch.setattr(reconfigurator, "compute_routing_modes", counted)
+        cl = Scenario(workload="fft", power_state=state.name).build_cluster()
+        assert len(planned) == 1
+        monkeypatch.undo()
+
+        plan = reconfigurator.plan_reconfiguration(state)
+        assert cl.l2.plan == plan
+        reference = MoTFabric(16, 32)
+        reference.apply_power_state(state)
+        fabric = cl.interconnect.fabric
+        assert fabric.plan == plan
+        assert fabric._gated_arb == reference._gated_arb
+        assert [
+            {pos: switch.mode for pos, switch in tree.switches.items()}
+            for tree in fabric.routing_trees
+        ] == [
+            {pos: switch.mode for pos, switch in tree.switches.items()}
+            for tree in reference.routing_trees
+        ]
 
 
 class TestEndToEnd:

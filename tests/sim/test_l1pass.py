@@ -15,12 +15,12 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.errors import ConfigurationError
 from repro.mem.dram import DDR3_OFFCHIP, WIDE_IO_3D
-from repro.mem.l1 import L1Config
+from repro.mem.l1 import L1Config, make_l1_pair
 from repro.mot.power_state import PC4_MB8
 from repro.scenario import Scenario
 from repro.sim import session
 from repro.sim.cluster import Cluster3D
-from repro.sim.l1pass import MissStream, miss_streams
+from repro.sim.l1pass import MissStream, miss_stream, miss_streams
 from repro.sim.session import SweepTraceCache, run_scenario, run_sweep
 from repro.sim.trace import MemRef, TraceBlock, TraceStep
 
@@ -82,6 +82,27 @@ class TestMissStream:
         assert reports["auto"]["l1_misses"] == 4 * 6
 
 
+    def test_negative_address_in_a_block_raises_at_that_reference(self):
+        """A block changed after construction to hold a negative address
+        stops where per-reference ``access`` calls would: the fetch and
+        the load before it are applied, nothing after it."""
+        block = TraceBlock(
+            compute_gap=1,
+            addresses=np.array([0, 1024, 64, 2048]),
+            is_instruction=np.array([False, True, False, False]),
+        )
+        block.addresses[2] = -64
+        icache, dcache = make_l1_pair(0, L1Config())
+        with pytest.raises(ConfigurationError):
+            miss_stream(iter([block]), icache.cache, dcache.cache, L1Config())
+        ref_i, ref_d = make_l1_pair(0, L1Config())
+        ref_d.cache.access(0)
+        ref_i.cache.access(1024)
+        for cache, ref in ((icache, ref_i), (dcache, ref_d)):
+            assert cache.stats == ref.stats
+            assert cache.cache._sets == ref.cache._sets
+
+
 class TestClusterRun:
     def test_stream_for_another_l1_rejected(self):
         streams = miss_streams(
@@ -90,6 +111,23 @@ class TestClusterRun:
         )
         with pytest.raises(ConfigurationError):
             Cluster3D(power_state=PC4_MB8).run(streams)
+
+    def test_raw_traces_leave_the_l1s_as_legacy_does(self):
+        """The pass runs in the cluster's own L1s: their contents and
+        counters end as the per-reference legacy walk leaves them."""
+        scenario = Scenario(workload="volrend", power_state="PC4-MB8", scale=SCALE)
+        clusters = {}
+        for mode in ("legacy", "auto"):
+            clusters[mode] = scenario.build_cluster()
+            clusters[mode].run(scenario.build_traces(), engine_mode=mode)
+        for core in PC4_MB8.active_cores:
+            for side in ("l1i", "l1d"):
+                legacy = getattr(clusters["legacy"], side)[core].cache
+                fast = getattr(clusters["auto"], side)[core].cache
+                assert fast.stats == legacy.stats
+                assert fast._sets == legacy._sets
+                assert fast.dirty_lines() == legacy.dirty_lines()
+        assert all(l1.stats.writebacks for l1 in clusters["auto"].l1d.values())
 
     def test_legacy_mode_rejects_streams(self):
         streams = miss_streams(
