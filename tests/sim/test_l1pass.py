@@ -81,7 +81,6 @@ class TestMissStream:
         assert reports["auto"] == reports["legacy"]
         assert reports["auto"]["l1_misses"] == 4 * 6
 
-
     def test_negative_address_in_a_block_raises_at_that_reference(self):
         """A block changed after construction to hold a negative address
         stops where per-reference ``access`` calls would: the fetch and
