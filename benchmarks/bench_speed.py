@@ -18,7 +18,10 @@ Environment / flags:
     Worker processes for the sweep cells (default: single-process,
     which is what the recorded ``fig7_seconds`` headline number means).
 ``--out PATH``
-    Output path (default ``BENCH_speed.json`` at the repo root).
+    Output path (default ``BENCH_speed.json`` at the repo root).  The
+    ``serve_*`` keys already in that file (written by
+    ``benchmarks/bench_serve.py``) are carried over; every key this
+    script measures is replaced.
 
 The JSON keeps the seed baseline (measured before the fast path
 landed) so any run can report its speedup; subsequent PRs append their
@@ -256,6 +259,11 @@ def main(argv: list[str] | None = None) -> int:
     results = run(scale, args.jobs)
     if args.note:
         results["note"] = args.note
+    if args.out.exists():
+        previous = json.loads(args.out.read_text()).get("results", {})
+        for key, value in previous.items():
+            if key.startswith("serve_"):
+                results.setdefault(key, value)
 
     payload = {
         "schema": "repro-bench-speed/1",

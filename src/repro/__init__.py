@@ -27,7 +27,7 @@ Subpackages:
 * ``repro.phys``      — Elmore/TSV/SRAM/power physical models;
 * ``repro.sim``       — transaction-level system simulator;
 * ``repro.store``     — persistent content-addressed result cache
-  (fingerprint-keyed; memory / JSONL / SQLite backends);
+  (fingerprint-keyed; SQLite on disk, a dict in memory);
 * ``repro.service``   — HTTP frontend + distributed sweep coordination
   (``repro serve`` / ``repro worker``; ``ServiceClient`` is the
   matching client, ``WorkQueue`` the lease/complete coordinator);
@@ -72,7 +72,6 @@ from repro.sim import (
     run_sweep,
 )
 from repro.store import (
-    JsonlStore,
     MemoryStore,
     ResultStore,
     SqliteStore,
@@ -124,7 +123,6 @@ __all__ = [
     "scenario_fingerprint",
     "ResultStore",
     "MemoryStore",
-    "JsonlStore",
     "SqliteStore",
     "open_store",
     "ScenarioServer",

@@ -103,10 +103,9 @@ _TABLE1_DRAM_NS = (42, 63, 200)
 def _add_store_argument(p: argparse.ArgumentParser) -> None:
     """The ``--store`` flag (memoized execution)."""
     p.add_argument("--store", default=None, metavar="PATH",
-                   help="persist results in a content-addressed store "
-                        "('.jsonl' = append-only JSON lines, ':memory:' "
-                        "= in-process, else SQLite); stored cells are "
-                        "served without simulating")
+                   help="persist results in a content-addressed "
+                        "SQLite store (':memory:' = in-process); stored "
+                        "cells are served without simulating")
 
 
 def _add_scenario_arguments(p: argparse.ArgumentParser) -> None:
@@ -615,7 +614,7 @@ def _render_server_stats(stats: dict, metrics: dict) -> str:
         ratio = row["hits"] / served if served else 0.0
         lines.append(
             f"  shard {row['shard']:>3}  records {row['records']:>7}  "
-            f"bytes {row['bytes'] if row['bytes'] is not None else '-':>10}  "
+            f"bytes {row['bytes']:>10}  "
             f"evictions {row['evictions']:>6}  hit ratio {ratio:.1%}"
         )
     latency = metrics.get("repro_service_request_seconds")

@@ -17,10 +17,8 @@ site                      instrumented at
                           SweepWorker.step>` (``crash`` — the worker dies
                           holding its leases, stage ``"leased"`` or
                           ``"computed"``)
-``store.write``           :meth:`JsonlStore._append <repro.store.jsonl.
-                          JsonlStore._append>` (``torn-write``) and
-                          :meth:`SqliteStore._put <repro.store.sqlite.
-                          SqliteStore._put>` (``sqlite-locked``, fired
+``store.write``           :meth:`SqliteStore._write <repro.store.sqlite.
+                          SqliteStore._write>` (``sqlite-locked``, fired
                           *inside* the store's own retry loop)
 ========================  ==================================================
 
@@ -61,7 +59,7 @@ STORE_WRITE = "store.write"
 SITE_KINDS = {
     CLIENT_REQUEST: ("drop-request", "drop-response", "http-500", "delay"),
     WORKER_COMPUTE: ("crash",),
-    STORE_WRITE: ("torn-write", "sqlite-locked", "io-error"),
+    STORE_WRITE: ("sqlite-locked",),
 }
 
 
@@ -71,8 +69,8 @@ class InjectedFault(ReproError):
     Instrumented layers usually translate a firing into the realistic
     exception type for the site (a :class:`~repro.errors.ServiceError`,
     an ``sqlite3.OperationalError``), so the code under test cannot
-    tell injected faults from real ones; this class marks the few
-    places where the injection itself surfaces (torn writes, crashes).
+    tell injected faults from real ones; this class marks the one
+    place where the injection itself surfaces (worker crashes).
     """
 
 

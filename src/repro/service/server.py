@@ -470,7 +470,7 @@ class ScenarioServer:
         )
         registry.bind(
             "repro_store_bytes",
-            lambda: self.store.bytes_used() or 0, kind="gauge",
+            self.store.bytes_used, kind="gauge",
             help="live payload bytes in the serving result store",
         )
         registry.bind(
@@ -572,9 +572,11 @@ class ScenarioServer:
                     owner, "POST", "/scenario", raw_body
                 )
             except OSError:
-                # Owner down: compute here — replay determinism makes
-                # the result identical, it just isn't the shard's
-                # usual writer.
+                # Owner down: compute and write the shard here.  Replay
+                # determinism makes the result identical, and every
+                # durable backend is SQLite, which takes writes from
+                # several processes, so the owner reads the record on
+                # its next lookup.
                 pass
             else:
                 if status == 200:

@@ -189,42 +189,30 @@ class SweepTraceCache:
     generated traces instead: that scheduler is the oracle the
     streams are checked against.
 
-    Peak memory is bounded: streams are kept for at most
-    ``keep_workloads`` distinct workloads (LRU).  The serial
-    :func:`run_sweep` asks for the cells of one key together, so a
-    key's streams are never needed again once its group is done.
+    Peak memory is bounded by one key: the cache holds only the
+    streams of the key it was last asked for, and drops them before it
+    builds the next key's.  The serial :func:`run_sweep` asks for the
+    cells of one key together, so a key's streams are never needed
+    again once its group is done.
     """
 
-    def __init__(self, keep_workloads: int = 2) -> None:
-        if keep_workloads < 1:
-            raise ValueError("keep_workloads must be >= 1")
-        self._keep_workloads = keep_workloads
-        self._streams: Dict[Tuple, Dict[int, MissStream]] = {}
-        self._workload_order: List[str] = []  # LRU, most recent last
-
-    def _touch(self, workload: str) -> None:
-        order = self._workload_order
-        if workload in order:
-            order.remove(workload)
-        order.append(workload)
-        while len(order) > self._keep_workloads:
-            evicted = order.pop(0)
-            for key in [k for k in self._streams if k[0] == evicted]:
-                del self._streams[key]
+    def __init__(self) -> None:
+        self._key: Optional[Tuple] = None
+        self._streams: Dict[int, MissStream] = {}
 
     def traces(self, scenario: "Scenario") -> Dict[int, object]:
         """The cell's per-core miss streams (raw traces in legacy mode)."""
         if scenario.engine_mode == "legacy":
             return scenario.build_traces()
         key = _stream_key(scenario)
-        self._touch(scenario.workload)
-        streams = self._streams.get(key)
-        if streams is None:
+        if key != self._key:
+            self._key, self._streams = None, {}  # free the old key first
             lazy = scenario.build_workload().trace_blocks(scenario.active_cores())
-            streams = self._streams[key] = miss_streams(
+            self._streams = miss_streams(
                 lazy, scenario.config.l1, scenario.max_cycles
             )
-        return dict(streams)
+            self._key = key
+        return dict(self._streams)
 
 
 def _cached_traces(cache: SweepTraceCache, scenario: "Scenario") -> Dict[int, object]:

@@ -4,14 +4,13 @@ Every simulation cell is a pure function of its
 :class:`~repro.scenario.Scenario` (replay determinism), so results are
 perfectly cacheable: this package keys ``ScenarioResult.to_dict()``
 payloads by :func:`repro.scenario.scenario_fingerprint` and serves
-repeat cells without simulating.  Four backends share one contract
-(:class:`ResultStore`):
+repeat cells without simulating.  Every on-disk store is SQLite; the
+backends share one contract (:class:`ResultStore`):
 
-* :class:`MemoryStore` — in-process dict; per-run memoization.
-* :class:`JsonlStore` — append-only JSON lines; crash-safe, greppable.
+* :class:`MemoryStore` — in-process dict; per-run memoization, tests.
 * :class:`SqliteStore` — indexed by fingerprint plus queryable columns
   (workload, interconnect, power state, DRAM latency, seed, scale).
-* :class:`ShardedStore` — a directory of N backend stores routed by
+* :class:`ShardedStore` — a directory of N SQLite stores routed by
   fingerprint prefix; the horizontal-scaling unit of the service.
 
 Any store can be bounded with an :class:`EvictionPolicy`
@@ -32,9 +31,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.errors import ConfigurationError
 from repro.store.base import RECORD_COLUMNS, ResultStore, record_columns
 from repro.store.evict import EvictionPolicy
-from repro.store.jsonl import JsonlStore
 from repro.store.memory import MemoryStore
 from repro.store.sharded import ShardedStore, shard_index
 from repro.store.sqlite import SqliteStore
@@ -44,7 +43,6 @@ __all__ = [
     "ResultStore",
     "record_columns",
     "EvictionPolicy",
-    "JsonlStore",
     "MemoryStore",
     "ShardedStore",
     "shard_index",
@@ -60,11 +58,12 @@ def open_store(
 ) -> ResultStore:
     """Open a result store from a path-like spec.
 
-    ``":memory:"`` gives a :class:`MemoryStore`; a ``.jsonl`` /
-    ``.ndjson`` path gives a :class:`JsonlStore`; a directory holding
+    ``":memory:"`` gives a :class:`MemoryStore`; a directory holding
     a ``shards.json`` manifest — or any path with ``shards=N`` —
     gives a :class:`ShardedStore`; anything else is a
-    :class:`SqliteStore` database file.  ``policy`` attaches an
+    :class:`SqliteStore` database file.  A ``.jsonl``/``.ndjson``
+    path is refused before anything is created: JSON-lines stores are
+    no longer supported.  ``policy`` attaches an
     :class:`EvictionPolicy` (split across shards for sharded stores).
     An existing store instance passes through unchanged, so APIs can
     accept either form.
@@ -74,8 +73,12 @@ def open_store(
     text = str(spec)
     if text == ":memory:":
         return MemoryStore(policy=policy)
+    if text.endswith((".jsonl", ".ndjson")):
+        raise ConfigurationError(
+            f"{text}: JSON-lines result stores are no longer supported; "
+            f"use a .sqlite path (docs/operations.md shows how to load "
+            f"an old .jsonl file into SQLite)"
+        )
     if shards is not None or ShardedStore.is_sharded_dir(text):
         return ShardedStore.open(text, shards=shards, policy=policy)
-    if text.endswith((".jsonl", ".ndjson")):
-        return JsonlStore(text, policy=policy)
     return SqliteStore(text, policy=policy)

@@ -19,8 +19,8 @@ Safety properties shared by all backends:
   an engine change is a miss, never a wrong answer; :meth:`gc` drops
   such records for good.
 * *Single-writer discipline.*  The executor writes results only from
-  the parent process (workers just compute), so backends need no
-  cross-process write locking; concurrent *readers* are always fine.
+  the parent process (workers just compute), so each cell is
+  simulated and persisted once; concurrent *readers* are always fine.
 * *Hit/miss accounting.*  ``hits``/``misses`` count every lookup
   through :meth:`get`, so callers (CLI, CI smoke) can assert a warm
   run did zero simulation.
@@ -166,15 +166,14 @@ class ResultStore(ABC):
             self._access[fingerprint] = self.policy.clock()
             self._dirty_access.add(fingerprint)
 
-    def bytes_used(self) -> Optional[int]:
-        """Live payload bytes, or ``None`` if the backend can't say.
+    @abstractmethod
+    def bytes_used(self) -> int:
+        """Live payload bytes.
 
-        "Live" means the canonical-JSON payload bytes of servable
+        "Live" means the canonical-JSON payload bytes of stored
         records — what ``max_mb`` caps — not the physical file size
-        (a JSONL log carries dead lines until compaction, SQLite has
-        page overhead).
+        (SQLite has page overhead).
         """
-        return None
 
     def _flush_access(self) -> None:
         """Persist dirty access stamps (backend hook; default no-op)."""
@@ -238,8 +237,7 @@ class ResultStore(ABC):
                 while True:
                     over = max_records is not None and count > max_records
                     if not over and max_bytes is not None:
-                        used = self.bytes_used()
-                        over = used is not None and used > max_bytes
+                        over = self.bytes_used() > max_bytes
                     if not over:
                         break
                     fingerprint = next(
@@ -539,7 +537,7 @@ class ResultStore(ABC):
         """Drop records the current schema can no longer serve.
 
         Returns the number of stale records removed.  Backends extend
-        this with physical compaction (JSONL rewrite, SQLite VACUUM).
+        this with physical compaction (SQLite VACUUM).
         """
         removed = 0
         for fingerprint in list(self.fingerprints()):

@@ -38,8 +38,7 @@ class EvictionPolicy:
     ``max_mb``
         Upper bound on live payload bytes (see
         :meth:`ResultStore.bytes_used` — logical record bytes, not
-        file size; a JSONL log may transiently carry dead weight until
-        compaction).
+        file size).
     ``ttl_s``
         Records not accessed for this many seconds are dropped on the
         next write, independent of the size caps.

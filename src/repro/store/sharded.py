@@ -107,7 +107,7 @@ class ShardedStore(ResultStore):
         )
         registry.bind(
             f"repro_store_shard{index}_bytes",
-            lambda s=shard: s.bytes_used() or 0, kind="gauge",
+            shard.bytes_used, kind="gauge",
             help=f"live payload bytes in shard {index}",
         )
         registry.bind(
@@ -344,14 +344,8 @@ class ShardedStore(ResultStore):
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
-    def bytes_used(self) -> Optional[int]:
-        total = 0
-        for shard in self.shards:
-            used = shard.bytes_used()
-            if used is None:
-                return None
-            total += used
-        return total
+    def bytes_used(self) -> int:
+        return sum(shard.bytes_used() for shard in self.shards)
 
     def gc(self) -> int:
         return sum(shard.gc() for shard in self.shards)

@@ -6,13 +6,15 @@ forwarding to shard owners, the proc-0 queue proxy, and shutdown.  One
 module-scoped group amortizes the spawn cost across the tests.
 """
 
+import socket
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenario import Scenario, canonical_json
-from repro.service import PreforkServer, ServiceClient
+from repro.scenario import Scenario, canonical_json, scenario_fingerprint
+from repro.service import PreforkServer, ScenarioServer, ServiceClient
 from repro.sim.session import run_scenario
-from repro.store import MemoryStore
+from repro.store import MemoryStore, open_store, shard_index
 
 SCALE = 0.02
 
@@ -91,3 +93,44 @@ def test_group_shuts_down_cleanly(tmp_path):
     finally:
         group.close()
     assert group.alive() == 0
+
+
+def _closed_port_url() -> str:
+    """A local URL nothing listens on (bound, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestOwnerFailover:
+    def test_unreachable_owner_is_served_and_written_here(self, tmp_path):
+        """When the owning peer cannot be reached, the serving worker
+        computes the cell and writes the owner's shard itself: the
+        answer is the engine's, nothing counts as forwarded, and a
+        second open of the directory (the owner's own view) loads the
+        record."""
+        scenario = next(
+            cell for cell in (
+                Scenario(workload="fft", scale=SCALE, seed=seed)
+                for seed in range(100)
+            )
+            if shard_index(scenario_fingerprint(cell), 2) == 0
+        )
+        reference = canonical_json(run_scenario(scenario).to_dict())
+        root = tmp_path / "store"
+        with ScenarioServer(str(root), shards=2) as server:
+            server.set_peers([_closed_port_url(), server.url], proc_index=1)
+            assert server.owner_of(scenario_fingerprint(scenario)) == 0
+            server.start()
+            with ServiceClient(server.url, timeout=120.0) as client:
+                answer = client.post_scenario(
+                    {"scenario": scenario.to_dict()}
+                )
+            assert answer["cached"] is False
+            assert canonical_json(answer["result"]) == reference
+            assert server.forwarded == 0
+            with open_store(root) as owner:
+                loaded = owner.load(scenario)
+            assert loaded is not None
+            assert canonical_json(loaded.to_dict()) == reference

@@ -133,15 +133,20 @@ class TestRunSweep:
         assert cached.report == fresh.report == again.report
 
     def test_trace_cache_bounds_memory(self):
-        """Completed workloads' streams are evicted (LRU by workload),
-        and eviction never changes results (regeneration is
+        """The cache holds only the last stream key's streams (a new
+        key drops the old one's, even within one workload), and
+        dropping never changes results (regeneration is
         deterministic)."""
-        cache = SweepTraceCache(keep_workloads=1)
+        cache = SweepTraceCache()
         a = Scenario(workload="volrend", scale=SCALE)
-        b = Scenario(workload="fft", scale=SCALE)
+        b = Scenario(workload="volrend", power_state="PC4-MB8", scale=SCALE)
         first = run_scenario(a, traces=cache.traces(a))
-        run_scenario(b, traces=cache.traces(b))  # evicts volrend
-        assert len(cache._streams) == 1
+        held = dict(cache._streams)
+        run_scenario(b, traces=cache.traces(b))  # drops a's streams
+        assert sorted(cache._streams) == sorted(b.active_cores())
+        assert not any(
+            stream is held.get(core) for core, stream in cache._streams.items()
+        )
         evicted_rerun = run_scenario(a, traces=cache.traces(a))
         assert evicted_rerun.report == first.report
 

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.experiments import experiment_fig7
 from repro.scenario import Scenario, SweepGrid
 from repro.sim.session import run_scenario, run_sweep
-from repro.store import JsonlStore, MemoryStore, SqliteStore
+from repro.store import MemoryStore, SqliteStore
 
 SCALE = 0.03
 
@@ -33,13 +33,11 @@ def plain_results():
 def _make_store(kind, tmp_path):
     if kind == "memory":
         return MemoryStore()
-    if kind == "jsonl":
-        return JsonlStore(tmp_path / "store.jsonl")
     return SqliteStore(tmp_path / "store.sqlite")
 
 
 class TestSweepMemoization:
-    @pytest.mark.parametrize("kind", ["memory", "jsonl", "sqlite"])
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
     def test_cold_warm_storeless_bit_identical(
         self, kind, tmp_path, plain_results
     ):
@@ -58,7 +56,7 @@ class TestSweepMemoization:
     ):
         """Only the missing cells simulate; results stay in cell order
         and bit-identical."""
-        with JsonlStore(tmp_path / "store.jsonl") as store:
+        with SqliteStore(tmp_path / "store.sqlite") as store:
             cells = list(_grid().scenarios())
             run_scenario(cells[2], store=store)  # pre-populate one cell
             results = run_sweep(_grid(), store=store)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenario import canonical_json
-from repro.store import EvictionPolicy, JsonlStore, MemoryStore, SqliteStore
+from repro.store import EvictionPolicy, MemoryStore, SqliteStore
 
 
 class FakeClock:
@@ -32,12 +32,10 @@ def _fingerprint(i: int) -> str:
 def _make_store(kind, tmp_path, policy):
     if kind == "memory":
         return MemoryStore(policy=policy)
-    if kind == "jsonl":
-        return JsonlStore(tmp_path / "store.jsonl", policy=policy)
     return SqliteStore(tmp_path / "store.sqlite", policy=policy)
 
 
-@pytest.fixture(params=["memory", "jsonl", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def backend(request):
     return request.param
 
@@ -288,33 +286,6 @@ class TestBackendPersistence:
         assert fingerprint in store
         assert fingerprint in store._access  # seeded, not mass-evicted
         store.close()
-
-    def test_jsonl_autocompacts_under_eviction(self, tmp_path,
-                                               volrend_result):
-        clock = FakeClock()
-        store = JsonlStore(
-            tmp_path / "s.jsonl",
-            policy=EvictionPolicy(max_records=2, clock=clock),
-        )
-        store.AUTOCOMPACT_SLACK_BYTES = 1024
-        payload = volrend_result.to_dict()
-        for i in range(30):
-            clock.tick()
-            store.put(_fingerprint(i), payload,
-                      scenario=volrend_result.scenario)
-        # Steady-state eviction appends tombstones; autocompaction must
-        # keep the log near its live size instead of growing forever.
-        live = store.bytes_used()
-        assert store._file_bytes <= 2 * live + store.AUTOCOMPACT_SLACK_BYTES
-        store.close()
-
-        reopened = JsonlStore(
-            tmp_path / "s.jsonl",
-            policy=EvictionPolicy(max_records=2, clock=clock),
-        )
-        assert len(reopened) == 2
-        assert _fingerprint(29) in reopened
-        reopened.close()
 
     def test_memory_store_tracks_bytes(self, volrend_result):
         store = MemoryStore(policy=EvictionPolicy(max_records=10))

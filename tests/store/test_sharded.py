@@ -6,9 +6,9 @@ from repro.errors import ConfigurationError
 from repro.scenario import Scenario, scenario_fingerprint
 from repro.store import (
     EvictionPolicy,
-    JsonlStore,
     MemoryStore,
     ShardedStore,
+    SqliteStore,
     open_store,
     shard_index,
 )
@@ -220,7 +220,7 @@ class TestShardedEviction:
 
 class TestHeterogeneousShards:
     def test_router_accepts_any_backends(self, tmp_path, volrend_result):
-        backends = [MemoryStore(), JsonlStore(tmp_path / "shard1.jsonl")]
+        backends = [MemoryStore(), SqliteStore(tmp_path / "shard1.sqlite")]
         store = ShardedStore(backends)
         try:
             fingerprint = store.save(volrend_result)

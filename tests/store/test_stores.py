@@ -1,6 +1,5 @@
 """Tests of the result-store backends (contract + backend edge cases)."""
 
-import json
 import threading
 
 import pytest
@@ -9,15 +8,13 @@ from repro.analysis.energy import EnergyBreakdown
 from repro.errors import ConfigurationError
 from repro.scenario import Scenario, scenario_fingerprint
 from repro.sim.stats import CoreStats, SimReport
-from repro.store import JsonlStore, MemoryStore, SqliteStore, open_store
+from repro.store import MemoryStore, SqliteStore, open_store
 
 
-@pytest.fixture(params=["memory", "jsonl", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
         backend = MemoryStore()
-    elif request.param == "jsonl":
-        backend = JsonlStore(tmp_path / "store.jsonl")
     else:
         backend = SqliteStore(tmp_path / "store.sqlite")
     yield backend
@@ -104,105 +101,39 @@ class TestResultStoreContract:
 class TestOpenStore:
     def test_dispatch_by_suffix(self, tmp_path):
         assert isinstance(open_store(":memory:"), MemoryStore)
-        jsonl = open_store(tmp_path / "a.jsonl")
-        assert isinstance(jsonl, JsonlStore)
-        jsonl.close()
-        sqlite = open_store(tmp_path / "a.sqlite")
-        assert isinstance(sqlite, SqliteStore)
-        sqlite.close()
+        for name in ("a.sqlite", "a.db", "a"):
+            sqlite = open_store(tmp_path / name)
+            assert isinstance(sqlite, SqliteStore)
+            sqlite.close()
 
     def test_store_instance_passes_through(self):
         backend = MemoryStore()
         assert open_store(backend) is backend
 
     def test_creates_missing_parent_directories(self, tmp_path):
-        for name in ("deep/dirs/a.sqlite", "deep/dirs/b.jsonl"):
-            store = open_store(tmp_path / name)
-            store.close()
-            assert (tmp_path / name).exists()
+        store = open_store(tmp_path / "deep/dirs/a.sqlite")
+        store.close()
+        assert (tmp_path / "deep/dirs/a.sqlite").exists()
+        sharded = open_store(tmp_path / "deep/dirs/b", shards=2)
+        sharded.close()
+        assert (tmp_path / "deep/dirs/b/shard-001.sqlite").exists()
 
-
-class TestJsonlStore:
-    def test_persists_across_reopen(self, tmp_path, volrend_result):
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            store.save(volrend_result)
-        with JsonlStore(path) as reopened:
-            assert reopened.load(volrend_result.scenario) == volrend_result
-
-    def test_recovers_from_truncated_final_line(
-        self, tmp_path, volrend_result, fft_result
+    @pytest.mark.parametrize("name", ["old.jsonl", "old.ndjson"])
+    def test_json_lines_path_is_refused_and_creates_nothing(
+        self, tmp_path, name
     ):
-        """A crash mid-append tears the last line; recovery must keep
-        every complete record and accept new appends cleanly."""
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            store.save(volrend_result)
-            store.save(fft_result)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-7])  # tear the fft record's tail
-        with JsonlStore(path) as recovered:
-            assert len(recovered) == 1
-            assert recovered.load(volrend_result.scenario) == volrend_result
-            assert recovered.load(fft_result.scenario) is None
-            recovered.save(fft_result)  # append lands on a clean boundary
-        with JsonlStore(path) as again:
-            assert len(again) == 2
-            assert again.load(fft_result.scenario) == fft_result
-
-    def test_delete_survives_reopen(self, tmp_path, volrend_result):
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            fingerprint = store.save(volrend_result)
-            store.delete(fingerprint)
-        with JsonlStore(path) as reopened:
-            assert len(reopened) == 0
-
-    def test_gc_compacts_superseded_lines(self, tmp_path, volrend_result):
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            store.save(volrend_result)
-            store.save(volrend_result)  # supersedes the first line
-            assert len(path.read_text().splitlines()) == 2
-            assert store.gc() == 0  # nothing stale ...
-            assert len(path.read_text().splitlines()) == 1  # ... but compacted
-            assert store.load(volrend_result.scenario) == volrend_result
-
-    def test_gc_drops_stale_records_without_tombstones(
-        self, tmp_path, volrend_result, fft_result, monkeypatch
-    ):
-        """Regression: gc used to append one tombstone line per stale
-        record immediately before compact() rewrote the file without
-        them — N wasted appends.  Now it only rewrites."""
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            store.save(volrend_result)
-            stale = fft_result.to_dict()
-            stale["schema"] = "repro-result/0"
-            store.put(scenario_fingerprint(fft_result.scenario), stale)
-
-            appended = []
-            original_append = store._append
-            monkeypatch.setattr(
-                store, "_append",
-                lambda record: (appended.append(record), original_append(record))[1],
-            )
-            assert store.gc() == 1
-            assert appended == []  # gc never appends, it only rewrites
-        text = path.read_text()
-        assert '"deleted"' not in text
-        assert "repro-result/0" not in text
-        with JsonlStore(path) as reopened:
-            assert len(reopened) == 1
-            assert reopened.load(volrend_result.scenario) == volrend_result
-
-    def test_lines_are_plain_json(self, tmp_path, volrend_result):
-        path = tmp_path / "store.jsonl"
-        with JsonlStore(path) as store:
-            store.save(volrend_result)
-        record = json.loads(path.read_text().splitlines()[0])
-        assert record["workload"] == "volrend"
-        assert record["result"]["schema"] == "repro-result/1"
+        """JSON-lines stores are gone: the path is refused with a
+        pointer to SQLite, and no file (no SQLite database under the
+        old name either) or parent directory is created."""
+        path = tmp_path / "deep" / name
+        with pytest.raises(ConfigurationError) as excinfo:
+            open_store(path)
+        message = str(excinfo.value)
+        assert str(path) in message and ".sqlite" in message
+        assert not (tmp_path / "deep").exists()
+        with pytest.raises(ConfigurationError):
+            open_store(tmp_path / name, shards=2)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSqliteStore:
@@ -363,51 +294,6 @@ class TestSqliteStore:
 
 class TestStoreFaultInjection:
     """The fault harness driving the stores' own failure paths."""
-
-    def test_jsonl_recovers_from_injected_torn_write(
-        self, tmp_path, volrend_result, fft_result
-    ):
-        """A harness-driven crash mid-append: bytes land, the newline
-        never does.  Recovery must keep every complete record, drop the
-        torn tail, and leave the file appendable."""
-        from repro.faults import STORE_WRITE, FaultPlan, FaultRule
-
-        path = tmp_path / "torn.jsonl"
-        plan = FaultPlan(
-            [FaultRule(STORE_WRITE, "torn-write", times=1, after=1)]
-        )
-        store = JsonlStore(path, faults=plan)
-        store.save(volrend_result)          # first append: clean
-        with pytest.raises(OSError, match="torn write"):
-            store.save(fft_result)          # second: dies mid-line
-        store.close()
-        assert plan.exhausted()
-        assert not path.read_bytes().endswith(b"\n")  # really torn
-
-        with JsonlStore(path) as recovered:
-            assert len(recovered) == 1
-            assert recovered.load(volrend_result.scenario) == volrend_result
-            assert recovered.load(fft_result.scenario) is None
-            recovered.save(fft_result)      # lands on a clean boundary
-            assert recovered.load(fft_result.scenario) == fft_result
-
-    def test_jsonl_injected_io_error_leaves_file_intact(
-        self, tmp_path, volrend_result, fft_result
-    ):
-        from repro.faults import STORE_WRITE, FaultPlan, FaultRule
-
-        path = tmp_path / "io.jsonl"
-        plan = FaultPlan(
-            [FaultRule(STORE_WRITE, "io-error", times=1, after=1)]
-        )
-        with JsonlStore(path, faults=plan) as store:
-            store.save(volrend_result)
-            before = path.read_bytes()
-            with pytest.raises(OSError, match="I/O error"):
-                store.save(fft_result)
-            assert path.read_bytes() == before  # nothing half-written
-            store.save(fft_result)              # budget spent: works now
-            assert store.load(fft_result.scenario) == fft_result
 
     def test_sqlite_retries_transient_locked_writes(
         self, tmp_path, volrend_result

@@ -139,7 +139,7 @@ class TestStoreCLI:
 
     def test_parser_accepts_store(self):
         for argv in (["run", "fft", "--store", "s.sqlite"],
-                     self.SWEEP + ["--store", "s.jsonl"],
+                     self.SWEEP + ["--store", "s.sqlite"],
                      ["fig7", "--store", "s.sqlite"]):
             assert build_parser().parse_args(argv).store is not None
 
@@ -161,7 +161,7 @@ class TestStoreCLI:
 
     def test_run_store_hit(self, capsys, tmp_path):
         argv = ["run", "volrend", "--scale", "0.03",
-                "--store", str(tmp_path / "store.jsonl")]
+                "--store", str(tmp_path / "store.sqlite")]
         assert main(argv) == 0
         assert "misses: 1" in capsys.readouterr().out
         assert main(argv) == 0

@@ -8,7 +8,10 @@ Two independent checks (CI runs both; each can run alone):
     code references to repo paths, and fail if any *relative* target
     does not exist.  External links (``http://``, ``https://``,
     ``mailto:``) and pure in-page anchors are skipped; a relative link
-    with an ``#anchor`` is checked for the file part only.
+    with an ``#anchor`` is checked for the file part only.  The same
+    files' python code blocks are parsed, and every name their
+    ``from repro... import ...`` and ``import repro...`` statements
+    name must import, so a removed export cannot linger in the docs.
 
 ``python tools/check_docs.py --run-examples``
     Additionally execute every ``examples/*.py`` as a subprocess
@@ -24,21 +27,27 @@ orphan the pins fails here, not at the next ``repro paper build``.
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = str(REPO_ROOT / "src")
 
 #: Markdown inline links: [text](target)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Schemes that are not filesystem targets.
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+#: Fenced python blocks: ```python ... ```
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def iter_doc_files() -> List[Path]:
@@ -66,6 +75,59 @@ def check_links() -> List[str]:
     return problems
 
 
+def _src_on_path() -> None:
+    """Import ``repro`` from this checkout (no install needed)."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+
+
+def _repro_imports(tree: ast.AST) -> Iterator[Tuple[str, str]]:
+    """``(module, name)`` of every ``repro`` import in ``tree``; a
+    plain ``import repro.x`` yields ``("repro.x", "")``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "repro":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, ""
+
+
+def _importable(module: str, name: str) -> bool:
+    try:
+        imported = importlib.import_module(module)
+    except ImportError:
+        return False
+    return not name or hasattr(imported, name)
+
+
+def check_imports() -> List[str]:
+    """Every ``repro`` name the docs' python blocks import that does
+    not resolve, as ``file: from module import name`` strings."""
+    _src_on_path()
+    problems: List[str] = []
+    checked = 0
+    for doc in iter_doc_files():
+        where = doc.relative_to(REPO_ROOT)
+        for block in _PYTHON_BLOCK.findall(doc.read_text()):
+            try:
+                tree = ast.parse(block)
+            except SyntaxError as exc:
+                problems.append(f"{where}: python block does not parse: {exc}")
+                continue
+            for module, name in _repro_imports(tree):
+                checked += 1
+                if not _importable(module, name):
+                    statement = (f"from {module} import {name}" if name
+                                 else f"import {module}")
+                    problems.append(f"{where}: {statement}")
+    if not problems:
+        print(f"import check: OK ({checked} names)")
+    return problems
+
+
 def check_manifest() -> List[str]:
     """Problems with the checked-in ``paper.json``, as strings.
 
@@ -73,7 +135,7 @@ def check_manifest() -> List[str]:
     install needed), resolves every artifact, and checks the pinned
     fingerprints still describe the resolved grids.
     """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    _src_on_path()
     try:
         from repro.errors import ReproError
         from repro.paper import load_manifest
@@ -132,6 +194,14 @@ def main(argv: List[str] | None = None) -> int:
             print(f"  {problem}")
         return 1
     print(f"link check: OK ({checked} files)")
+
+    import_problems = check_imports()
+    if import_problems:
+        print(f"import check: {len(import_problems)} name(s) do not "
+              f"import:")
+        for problem in import_problems:
+            print(f"  {problem}")
+        return 1
 
     manifest_problems = check_manifest()
     if manifest_problems:
