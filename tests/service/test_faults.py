@@ -116,6 +116,14 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match="p must be"):
             FaultRule(CLIENT_REQUEST, "http-500", p=1.5)
 
+    @pytest.mark.parametrize("kind", ["torn-write", "io-error"])
+    def test_store_write_faults_only_as_sqlite_locked(self, kind):
+        """Every durable store is SQLite, so a store write fails only
+        the way SQLite does: the JSON-lines kinds are unknown."""
+        with pytest.raises(ConfigurationError, match="sqlite-locked"):
+            FaultRule(STORE_WRITE, kind)
+        assert FaultRule(STORE_WRITE, "sqlite-locked").kind == "sqlite-locked"
+
     def test_fault_clock_jumps_forward_only(self):
         base = [100.0]
         clock = FaultClock(base=lambda: base[0])

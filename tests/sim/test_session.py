@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.dram import DRAMTimings
+from repro.mem.dram import WIDE_IO_3D, DRAMTimings
 from repro.scenario import Scenario, SweepGrid
 from repro.sim.session import (
     ScenarioResult,
@@ -149,6 +149,20 @@ class TestRunSweep:
         )
         evicted_rerun = run_scenario(a, traces=cache.traces(a))
         assert evicted_rerun.report == first.report
+
+    def test_trace_cache_shares_one_keys_streams(self):
+        """Cells of one stream key (here: two DRAM models) get the
+        very same streams, each in a dict of its own, so a caller
+        cannot change what the next cell receives."""
+        cache = SweepTraceCache()
+        a = Scenario(workload="volrend", scale=SCALE)
+        b = Scenario(workload="volrend", dram=WIDE_IO_3D, scale=SCALE)
+        first = cache.traces(a)
+        first.clear()
+        second = cache.traces(b)
+        assert sorted(second) == sorted(a.active_cores())
+        assert all(second[core] is cache._streams[core] for core in second)
+        assert cache.traces(a) == second
 
     def test_serial_sweep_runs_cells_grouped_by_stream_key(self, monkeypatch):
         """Cells whose stream keys interleave still get one L1 pass per

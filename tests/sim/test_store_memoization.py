@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.experiments import experiment_fig7
 from repro.scenario import Scenario, SweepGrid
 from repro.sim.session import run_scenario, run_sweep
-from repro.store import MemoryStore, SqliteStore
+from repro.store import MemoryStore, SqliteStore, open_store
 
 SCALE = 0.03
 
@@ -33,11 +33,13 @@ def plain_results():
 def _make_store(kind, tmp_path):
     if kind == "memory":
         return MemoryStore()
+    if kind == "sharded":
+        return open_store(tmp_path / "store", shards=2)
     return SqliteStore(tmp_path / "store.sqlite")
 
 
 class TestSweepMemoization:
-    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
     def test_cold_warm_storeless_bit_identical(
         self, kind, tmp_path, plain_results
     ):

@@ -1,6 +1,9 @@
 """Tests of the result-store backends (contract + backend edge cases)."""
 
+import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +11,17 @@ from repro.analysis.energy import EnergyBreakdown
 from repro.errors import ConfigurationError
 from repro.scenario import Scenario, scenario_fingerprint
 from repro.sim.stats import CoreStats, SimReport
-from repro.store import MemoryStore, SqliteStore, open_store
+from repro.store import MemoryStore, ResultStore, SqliteStore, open_store
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite", "sharded"])
 def store(request, tmp_path):
     if request.param == "memory":
         backend = MemoryStore()
-    else:
+    elif request.param == "sqlite":
         backend = SqliteStore(tmp_path / "store.sqlite")
+    else:
+        backend = open_store(tmp_path / "store", shards=2)
     yield backend
     backend.close()
 
@@ -88,6 +93,20 @@ class TestResultStoreContract:
         assert store.gc() == 1
         assert len(store) == 0
 
+    def test_bytes_used_counts_live_payloads(self, store, volrend_result,
+                                             fft_result):
+        """``bytes_used`` is an int on every backend: the canonical
+        payload bytes of the live records, back to 0 once they go."""
+        assert store.bytes_used() == 0
+        first = store.save(volrend_result)
+        one = store.bytes_used()
+        assert isinstance(one, int) and one > 0
+        second = store.save(fft_result)
+        assert store.bytes_used() > one
+        store.delete(first)
+        store.delete(second)
+        assert store.bytes_used() == 0
+
     def test_payloads_are_isolated(self, store, volrend_result):
         """Mutating a returned payload must not corrupt the store."""
         fingerprint = store.save(volrend_result)
@@ -134,6 +153,23 @@ class TestOpenStore:
         with pytest.raises(ConfigurationError):
             open_store(tmp_path / name, shards=2)
         assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_final_suffix_is_refused(self, tmp_path):
+        """A SQLite path whose name merely contains ``.jsonl`` opens."""
+        store = open_store(tmp_path / "results.jsonl.sqlite")
+        assert isinstance(store, SqliteStore)
+        store.close()
+        assert (tmp_path / "results.jsonl.sqlite").exists()
+
+    def test_bytes_used_is_required_of_every_backend(self):
+        """``bytes_used`` has no default: a backend that does not
+        report its live bytes cannot be instantiated."""
+
+        class NoBytes(MemoryStore):
+            bytes_used = ResultStore.bytes_used
+
+        with pytest.raises(TypeError, match="bytes_used"):
+            NoBytes()
 
 
 class TestSqliteStore:
@@ -334,3 +370,109 @@ class TestStoreFaultInjection:
             assert store._read_conn.execute(
                 "PRAGMA busy_timeout"
             ).fetchone()[0] == BUSY_TIMEOUT_MS
+
+
+OPERATIONS_DOC = Path(__file__).resolve().parents[2] / "docs" / "operations.md"
+
+
+@pytest.fixture(scope="module")
+def load_recipe():
+    """The docs' recipe that loads an old JSON-lines store into SQLite."""
+    text = OPERATIONS_DOC.read_text()
+    section = text.split("## Loading an old JSONL store into SQLite", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _jsonl_line(result=None, fingerprint=None, deleted=False) -> bytes:
+    """One line of the old JSON-lines store format."""
+    if deleted:
+        record = {"fingerprint": fingerprint, "deleted": True}
+    else:
+        payload = result if isinstance(result, dict) else result.to_dict()
+        scenario = payload["scenario"]
+        record = {
+            "fingerprint": fingerprint or scenario_fingerprint(
+                Scenario.from_dict(scenario)
+            ),
+            "workload": scenario["workload"],
+            "result": payload,
+        }
+    return (json.dumps(record) + "\n").encode()
+
+
+class TestJsonlLoadRecipe:
+    """``docs/operations.md``'s loader keeps exactly the records an
+    old JSON-lines store served: the last line per fingerprint, minus
+    tombstones and a torn tail."""
+
+    def _load(self, load_recipe, tmp_path, monkeypatch, data: bytes):
+        (tmp_path / "results.jsonl").write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(load_recipe, str(OPERATIONS_DOC), "exec"), {})
+        return SqliteStore(tmp_path / "results.sqlite")
+
+    def test_loads_every_record(self, load_recipe, tmp_path, monkeypatch,
+                                volrend_result, fft_result):
+        data = _jsonl_line(volrend_result) + _jsonl_line(fft_result)
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert len(store) == 2
+            assert store.load(volrend_result.scenario) == volrend_result
+            assert store.load(fft_result.scenario) == fft_result
+
+    def test_last_line_per_fingerprint_wins(
+        self, load_recipe, tmp_path, monkeypatch, volrend_result
+    ):
+        older = volrend_result.to_dict()
+        older["report"]["execution_cycles"] = -1
+        data = _jsonl_line(older) + _jsonl_line(volrend_result)
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert len(store) == 1
+            assert store.load(volrend_result.scenario) == volrend_result
+
+    def test_tombstones_drop_records(self, load_recipe, tmp_path,
+                                     monkeypatch, volrend_result, fft_result):
+        gone = scenario_fingerprint(fft_result.scenario)
+        data = (_jsonl_line(volrend_result) + _jsonl_line(fft_result)
+                + _jsonl_line(fingerprint=gone, deleted=True))
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert store.fingerprints() == [
+                scenario_fingerprint(volrend_result.scenario)
+            ]
+            assert store.load(fft_result.scenario) is None
+
+    def test_torn_last_line_is_dropped(self, load_recipe, tmp_path,
+                                       monkeypatch, volrend_result,
+                                       fft_result):
+        """A crash mid-append left the fft line without its tail."""
+        data = _jsonl_line(volrend_result) + _jsonl_line(fft_result)[:-7]
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert len(store) == 1
+            assert store.load(volrend_result.scenario) == volrend_result
+            assert store.load(fft_result.scenario) is None
+
+    def test_blank_lines_are_skipped(self, load_recipe, tmp_path,
+                                     monkeypatch, volrend_result):
+        data = b"\n" + _jsonl_line(volrend_result) + b"  \n"
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert store.load(volrend_result.scenario) == volrend_result
+
+    def test_stale_schema_records_go_with_results_gc(
+        self, load_recipe, tmp_path, monkeypatch, capsys, volrend_result,
+        fft_result
+    ):
+        """A record from an older engine loads as a stored row, is
+        never served, and ``repro results gc`` drops it."""
+        from repro.cli import main
+
+        stale = fft_result.to_dict()
+        stale["schema"] = "repro-result/0"
+        data = _jsonl_line(volrend_result) + _jsonl_line(stale)
+        with self._load(load_recipe, tmp_path, monkeypatch, data) as store:
+            assert len(store) == 2
+            assert store.load(fft_result.scenario) is None
+        assert main(["results", "gc", "results.sqlite"]) == 0
+        assert "removed 1 stale record(s); 1 live" in capsys.readouterr().out
+        with SqliteStore(tmp_path / "results.sqlite") as store:
+            assert store.fingerprints() == [
+                scenario_fingerprint(volrend_result.scenario)
+            ]

@@ -44,3 +44,30 @@ def test_missing_names_are_reported(check_docs, tmp_path, monkeypatch):
         "doc.md: from repro import NoSuchStore",
         "doc.md: import repro.no_such_module",
     ]
+
+
+def test_nested_and_aliased_imports_are_checked(check_docs, tmp_path,
+                                                monkeypatch):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```python\n"
+        "import repro.store as rs\n"
+        "def helper():\n"
+        "    from repro.store.sqlite import SqliteStore as S, Gone\n"
+        "    return S, Gone\n"
+        "```\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "iter_doc_files", lambda: [doc])
+    assert check_docs.check_imports() == [
+        "doc.md: from repro.store.sqlite import Gone",
+    ]
+
+
+def test_unparsable_block_is_reported(check_docs, tmp_path, monkeypatch):
+    doc = tmp_path / "doc.md"
+    doc.write_text("```python\nfrom repro import (\n```\n")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "iter_doc_files", lambda: [doc])
+    [problem] = check_docs.check_imports()
+    assert problem.startswith("doc.md: python block does not parse")
